@@ -145,11 +145,14 @@ def deterministic_loss(spec: BenchmarkSpec, x) -> float:
     return _FUNCTIONS[spec.benchmark_id](_check_point(spec, x))
 
 
-def noise_scale(spec: BenchmarkSpec, x) -> float:
-    """Noise standard deviation sqrt(1 + 100 ||x - centre||^2); always >= 1."""
-    arr = _check_point(spec, x)
+def _noise_scale(spec: BenchmarkSpec, arr: np.ndarray) -> float:
     diff = arr - spec.noise_centre
     return math.sqrt(1.0 + 100.0 * float(diff @ diff))
+
+
+def noise_scale(spec: BenchmarkSpec, x) -> float:
+    """Noise standard deviation sqrt(1 + 100 ||x - centre||^2); always >= 1."""
+    return _noise_scale(spec, _check_point(spec, x))
 
 
 def simulate_loss(spec: BenchmarkSpec, x, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,7 +162,7 @@ def simulate_loss(spec: BenchmarkSpec, x, m: int, rng: np.random.Generator) -> n
         raise ValueError("m must be >= 1")
     arr = _check_point(spec, x)
     base = _FUNCTIONS[spec.benchmark_id](arr)
-    return base + noise_scale(spec, arr) * rng.standard_normal(m)
+    return base + _noise_scale(spec, arr) * rng.standard_normal(m)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ that extra budget is accounted separately from the search budget.
 Randomness: every consumer draws from a substream keyed by its role and
 position (iteration, candidate index), so results do not depend on
 evaluation order or worker count.
+
+Memory: candidates are simulated and reduced to CVaR estimates in row
+blocks of at most ``_BLOCK_BYTES``, so a search or re-evaluation holds
+O(block) loss draws at a time, not the O(N_k * M_k) loss matrix.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ MAX_ITERATIONS = "max_iterations"
 _CANDIDATE_REALM = 0
 _LOSS_REALM = 1
 _FINAL_REALM = 2
+
+# bytes of loss draws held at once (at least one row); the CVaR reduction
+# adds about three transients of this size
+_BLOCK_BYTES = 1 << 20
 
 
 class LossModel(Protocol):
@@ -286,9 +294,28 @@ def newton_update(nat: NaturalParams, grad, var_matrix, step_size: float,
     return to_natural(_project_raw_natural(raw, box))
 
 
-def _fresh_cvar(loss: LossModel, x, alpha: float, budget: int,
-                seq: np.random.SeedSequence) -> float:
-    return float(empirical_cvar(loss.simulate(x, budget, generator(seq)), alpha))
+def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
+                     seq: np.random.SeedSequence, *key: int, first: int = 0) -> np.ndarray:
+    """CVaR estimate of each candidate in xs from m fresh simulations.
+
+    Candidate i draws from ``substream(seq, *key, first + i)``.  Rows are
+    simulated into one reused buffer of at most ``_BLOCK_BYTES``, or of one
+    row when a row is larger, and reduced block by block; each row's
+    estimate depends only on that row, so the values do not depend on the
+    block size.
+    """
+    n = len(xs)
+    rows = max(1, min(n, _BLOCK_BYTES // (8 * m)))
+    block = np.empty((rows, m))
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        for i in range(start, stop):
+            block[i - start] = loss.simulate(
+                xs[i], m, generator(substream(seq, *key, first + i))
+            )
+        out[start:stop] = empirical_cvar(block[:stop - start], alpha)
+    return out
 
 
 def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
@@ -303,11 +330,7 @@ def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
     budget = int(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    seq = as_seed_sequence(seed)
-    return np.array(
-        [_fresh_cvar(loss, c, alpha, budget, substream(seq, j))
-         for j, c in enumerate(candidates)]
-    )
+    return _candidate_cvars(loss, candidates, alpha, budget, as_seed_sequence(seed))
 
 
 def _clamp_moments(params: SamplingParams, box: ProjectionBox) -> SamplingParams:
@@ -343,12 +366,7 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq, *,
             raise ValueError(f"step size must be positive and finite, got {beta_k}")
 
         xs = sample(params, n_k, generator(substream(seed_seq, _CANDIDATE_REALM, k)))
-        losses = np.empty((n_k, m_k))
-        for i in range(n_k):
-            losses[i] = loss.simulate(
-                xs[i], m_k, generator(substream(seed_seq, _LOSS_REALM, k, i))
-            )
-        cvars = empirical_cvar(losses, alpha_k)
+        cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k)
         cum_evals += n_k * m_k
 
         scores = -cvars
@@ -398,6 +416,8 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     """
     if not (0.0 <= float(alpha_star) < 1.0):
         raise ValueError(f"alpha_star must lie in [0, 1), got {alpha_star}")
+    if int(final_eval_budget) < 1:
+        raise ValueError("final_eval_budget must be >= 1")
     seed_seq = as_seed_sequence(seed)
     records, terminated = _run_search(
         config, loss, seed_seq, alpha_star=float(alpha_star), inner_budget=inner_budget
@@ -414,10 +434,10 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
         final_evals = int(final_eval_budget) * len(records)
     else:
         values = None
-        final_value = _fresh_cvar(
-            loss, records[j].best_candidate, float(alpha_star),
-            int(final_eval_budget), substream(final_seq, j),
-        )
+        final_value = float(_candidate_cvars(
+            loss, [records[j].best_candidate], float(alpha_star),
+            int(final_eval_budget), final_seq, first=j,
+        )[0])
         final_evals = int(final_eval_budget)
     return RunResult(
         records=records,

@@ -18,15 +18,17 @@ Outputs per experiment:
   config.
 
 The reference optimum is analytic for the quadratic-bowl benchmark and a
-cached large-budget search for the others, keyed by a hash of the
-reference-relevant config fields.
+cached large-budget search for the others, keyed by a hash of every config
+field the reference run depends on plus a cache schema version.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import warnings
@@ -74,6 +76,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("gass_cvar", "gass_cvar_arl")
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -413,27 +417,71 @@ def budget_to_threshold(outcome: ReplicationOutcome, threshold: float) -> int | 
 
 # --- reference optimum ---------------------------------------------------
 
-_REFERENCE_FIELDS = (
+# fields the reference search's seed is hashed from; frozen, so that
+# reference values computed before the cache key grew do not move
+_REFERENCE_SEED_FIELDS = (
     "benchmark", "dim", "alpha_star", "s_o", "rho", "epsilon",
     "step_a", "step_b", "step_gamma", "mean_init_lo", "mean_init_hi",
     "var_init", "mean_box_lo", "mean_box_hi", "var_box_lo", "var_box_hi",
     "reference_n_candidates", "reference_inner_budget", "reference_max_iterations",
 )
+# every field that reaches the reference run; the cache key hashes these
+_REFERENCE_FIELDS = _REFERENCE_SEED_FIELDS + ("grad_norm_stop", "n_growth_exponent")
+# bump when the reference run changes for an unchanged config
+_REFERENCE_SCHEMA = 2
+
+
+def _fields_hash(config: ExperimentConfig, fields, **extra) -> str:
+    payload = {name: getattr(config, name) for name in fields}
+    blob = json.dumps({**payload, **extra}, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _reference_key(config: ExperimentConfig) -> str:
-    payload = {name: getattr(config, name) for name in _REFERENCE_FIELDS}
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _fields_hash(config, _REFERENCE_FIELDS, schema=_REFERENCE_SCHEMA)
+
+
+def _read_cache(path) -> dict:
+    """Cached reference values by key.  A missing file is an empty cache; an
+    unreadable or malformed one is reported and treated as empty, so every
+    lookup misses and the next write replaces it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cache = json.load(fh)
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError) as exc:
+        logger.warning("ignoring unreadable reference cache %s: %s", path, exc)
+        return {}
+    if not isinstance(cache, dict):
+        logger.warning("ignoring reference cache %s: not a JSON object", path)
+        return {}
+    return cache
+
+
+def _write_cache(path, cache: dict):
+    """Replace the cache file atomically: readers see the old or the new
+    file, never a partial one, even if this process dies mid-write."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(cache, fh, sort_keys=True, indent=1)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     """Reference optimum for the ratio curves.
 
     The quadratic bowl has an analytic optimum.  Other benchmarks get one
-    large-budget fixed-level run seeded from the config hash; the value is
-    cached in ``reference_cache.json`` under that hash when a cache
-    directory is given.
+    large-budget fixed-level run seeded from a hash of the config; the value
+    is cached in ``reference_cache.json`` under a hash of every field the
+    run depends on when a cache directory is given.
     """
     if config.benchmark == "l0":
         return float(l0_min_cvar_oracle(config.dim, config.alpha_star)[1])
@@ -441,12 +489,11 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     cache_path = None
     if cache_dir is not None:
         cache_path = os.path.join(cache_dir, "reference_cache.json")
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                cache = json.load(fh)
-            if key in cache:
-                return float(cache[key])
-    ref_seed = substream(np.random.SeedSequence(int(key[:16], 16)), 0)
+        cached = _read_cache(cache_path).get(key)
+        if isinstance(cached, float):
+            return cached
+    seed_key = _fields_hash(config, _REFERENCE_SEED_FIELDS)
+    ref_seed = substream(np.random.SeedSequence(int(seed_key[:16], 16)), 0)
     mean0 = generator(substream(ref_seed, 0)).uniform(
         config.mean_init_lo, config.mean_init_hi, config.dim
     )
@@ -466,14 +513,10 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     )
     value = float(result.final_best_cvar)
     if cache_path is not None:
-        cache = {}
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                cache = json.load(fh)
-        cache[key] = value
         os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, sort_keys=True, indent=1)
+        cache = _read_cache(cache_path)
+        cache[key] = value
+        _write_cache(cache_path, cache)
     return value
 
 

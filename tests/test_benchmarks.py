@@ -154,6 +154,11 @@ class TestSpecValidation:
     def test_point_dim_checked(self):
         with pytest.raises(ValueError):
             deterministic_loss(BenchmarkSpec("l0", 3), np.zeros(2))
+        with pytest.raises(ValueError):
+            simulate_loss(BenchmarkSpec("l0", 3), np.zeros(2), 5, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            simulate_loss(BenchmarkSpec("l0", 2), np.array([0.0, np.nan]), 5,
+                          np.random.default_rng(0))
 
 
 class TestNoise:
@@ -197,6 +202,14 @@ class TestNoise:
         a = simulate_loss(spec, x, 50, np.random.default_rng(3))
         b = simulate_loss(spec, x, 50, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
+
+    def test_simulate_is_location_scale_draw(self):
+        spec = BenchmarkSpec("rosenbrock", 3)
+        x = np.array([0.5, 1.5, -1.0])
+        want = deterministic_loss(spec, x) + noise_scale(spec, x) * (
+            np.random.default_rng(9).standard_normal(600)
+        )
+        assert np.array_equal(simulate_loss(spec, x, 600, np.random.default_rng(9)), want)
 
 
 class TestLossHandle:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvarsearch import engine
 from cvarsearch.benchmarks import BenchmarkLoss, BenchmarkSpec
 from cvarsearch.engine import (
     GRAD_THRESHOLD,
@@ -24,6 +26,7 @@ from cvarsearch.engine import (
     sample_variance_matrix,
     weighted_suffstat_mean,
 )
+from cvarsearch.risk import empirical_cvar
 from cvarsearch.sampling import (
     ProjectionBox,
     SamplingParams,
@@ -35,6 +38,7 @@ from cvarsearch.sampling import (
 )
 from cvarsearch.schedule import RiskSchedule, inner_sample_size
 from cvarsearch.shaping import ShapeConfig
+from cvarsearch.streams import as_seed_sequence, generator, substream
 
 
 class NoiselessLoss:
@@ -279,6 +283,82 @@ class TestEvaluateCandidates:
             evaluate_candidates(self.LOSS, [], 0.9, 10, 0)
         with pytest.raises(ValueError):
             evaluate_candidates(self.LOSS, [np.zeros(2)], 0.9, 0, 0)
+
+
+def _block_rows(m):
+    return max(1, engine._BLOCK_BYTES // (8 * m))
+
+
+# (n, m): several blocks with a short last one, one-row blocks, one candidate
+BLOCK_CASES = [
+    (2 * _block_rows(5000) + 3, 5000),
+    (3, engine._BLOCK_BYTES // 8 + 1),
+    (1, 5000),
+]
+
+
+def _one_at_a_time(loss, xs, alpha, m, seq, *key):
+    """Per-candidate reference: a 1-d estimate from each candidate's stream."""
+    return np.array([
+        empirical_cvar(loss.simulate(x, m, generator(substream(seq, *key, j))), alpha)
+        for j, x in enumerate(xs)
+    ])
+
+
+class RecordingLoss:
+    """Benchmark loss that remembers every point it simulated."""
+
+    def __init__(self, dim):
+        self.inner = BenchmarkLoss(BenchmarkSpec("l0", dim))
+        self.points = []
+
+    def simulate(self, x, m, rng):
+        self.points.append(np.array(x))
+        return self.inner.simulate(x, m, rng)
+
+
+class TestBlockedEvaluation:
+    LOSS = BenchmarkLoss(BenchmarkSpec("l0", 2))
+
+    @pytest.mark.parametrize("n,m", BLOCK_CASES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.95])
+    def test_evaluate_candidates_matches_one_at_a_time(self, n, m, alpha):
+        xs = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 2))
+        got = evaluate_candidates(self.LOSS, xs, alpha, m, 11)
+        want = _one_at_a_time(self.LOSS, xs, alpha, m, as_seed_sequence(11))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,m", [c for c in BLOCK_CASES if c[0] >= 2])
+    @pytest.mark.parametrize("alpha", [0.0, 0.95])
+    def test_search_matches_one_at_a_time(self, n, m, alpha, monkeypatch):
+        estimates = []
+
+        def recording_cvar(losses, level):
+            out = empirical_cvar(losses, level)
+            estimates.append(out)
+            return out
+
+        monkeypatch.setattr(engine, "empirical_cvar", recording_cvar)
+        loss = RecordingLoss(2)
+        config = small_config(n_candidates=ConstantSchedule(n), max_iterations=1)
+        run_gass_cvar(config, loss, alpha, ConstantSchedule(m), 19, final_eval_budget=10)
+        searched = np.hstack(estimates)[:n]
+        want = _one_at_a_time(loss.inner, loss.points[:n], alpha, m,
+                              as_seed_sequence(19), engine._LOSS_REALM, 0)
+        assert np.array_equal(searched, want)
+
+    def test_search_memory_is_bounded_by_the_block(self):
+        # the 400 x 5000 loss matrix alone would take 16 MB
+        n, m = 400, 5000
+        config = small_config(n_candidates=ConstantSchedule(n), max_iterations=2)
+        tracemalloc.start()
+        try:
+            run_gass_cvar(config, self.LOSS, 0.99, ConstantSchedule(m), 3,
+                          final_eval_budget=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 class TestFixedLevelRun:

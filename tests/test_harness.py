@@ -283,19 +283,89 @@ class TestReference:
         assert len(cache) == 1
         assert float(next(iter(cache.values()))) == first
 
-    def test_reference_key_ignores_run_only_fields(self, tmp_path):
-        config = tiny_config(
+    # a valid changed value for every config field: those that reach the
+    # reference run, and those that only the replications use
+    REFERENCE_CHANGES = dict(
+        benchmark="levy", dim=2, alpha_star=0.85, s_o=1e4, rho=0.2, epsilon=1e-9,
+        step_a=40.0, step_b=1000.0, step_gamma=0.7, mean_init_lo=-1.0,
+        mean_init_hi=1.0, var_init=5.0, mean_box_lo=-40.0, mean_box_hi=40.0,
+        var_box_lo=1e-5, var_box_hi=90.0, grad_norm_stop=1e-2,
+        n_growth_exponent=0.5, reference_n_candidates=12,
+        reference_inner_budget=30, reference_max_iterations=3,
+    )
+    RUN_ONLY_CHANGES = dict(
+        algorithm="gass_cvar_arl", alpha_init=0.5, effective_size=5,
+        n_candidates=7, max_iterations=5, replications=2, master_seed=999,
+        final_eval_budget=70,
+    )
+
+    @staticmethod
+    def search_config(**overrides):
+        return tiny_config(
             benchmark="rastrigin",
             dim=1,
             reference_n_candidates=16,
             reference_inner_budget=40,
             reference_max_iterations=2,
+            **overrides,
         )
+
+    def test_change_tables_cover_every_field(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(self.REFERENCE_CHANGES) | set(self.RUN_ONLY_CHANGES) == fields
+
+    def test_reference_key_ignores_run_only_fields(self, tmp_path):
+        config = self.search_config()
         first = emit_reference_run(config, cache_dir=tmp_path)
-        moved = dataclasses.replace(config, master_seed=999, replications=2)
+        moved = dataclasses.replace(config, **self.RUN_ONLY_CHANGES)
         second = emit_reference_run(moved, cache_dir=tmp_path)
         assert first == second
         assert len(json.loads((tmp_path / "reference_cache.json").read_text())) == 1
+
+    @pytest.mark.parametrize("field", sorted(REFERENCE_CHANGES))
+    def test_reference_key_covers_reference_fields(self, field, tmp_path):
+        config = self.search_config()
+        emit_reference_run(config, cache_dir=tmp_path)
+        changed = dataclasses.replace(config, **{field: self.REFERENCE_CHANGES[field]})
+        emit_reference_run(changed, cache_dir=tmp_path)
+        assert len(json.loads((tmp_path / "reference_cache.json").read_text())) == 2
+
+    def test_reference_seed_unchanged_by_cache_key(self):
+        # the search seed still hashes the original field set; this value
+        # predates grad_norm_stop and n_growth_exponent joining the key
+        assert emit_reference_run(self.search_config()) == pytest.approx(
+            -9.500407312951703, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("content", ['{"a": 1.5, "b"', "\x00\xff", "[1, 2]"])
+    def test_corrupt_cache_is_a_miss(self, content, tmp_path, caplog):
+        config = self.search_config()
+        want = emit_reference_run(config)
+        cache_path = tmp_path / "reference_cache.json"
+        cache_path.write_text(content, encoding="latin-1")
+        with caplog.at_level("WARNING", logger="cvarsearch.harness"):
+            got = emit_reference_run(config, cache_dir=tmp_path)
+        assert got == want
+        assert "reference cache" in caplog.text
+        cache = json.loads(cache_path.read_text())
+        assert list(cache.values()) == [want]
+        assert [p.name for p in tmp_path.iterdir()] == ["reference_cache.json"]
+
+    def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
+        config = self.search_config()
+        emit_reference_run(config, cache_dir=tmp_path)
+        cache_path = tmp_path / "reference_cache.json"
+        before = cache_path.read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"partial')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            emit_reference_run(dataclasses.replace(config, rho=0.2), cache_dir=tmp_path)
+        assert cache_path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["reference_cache.json"]
 
 
 class TestEmission:
