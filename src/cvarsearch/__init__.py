@@ -2,68 +2,16 @@
 
 The package tunes a diagonal-Gaussian sampling distribution by weighted
 elite statistics so that it concentrates on minimizers of the conditional
-value-at-risk of a noisy loss.  Two engines are provided: a fixed-level
-search and a variant that ramps the risk level toward the target as the
-gradient norm decays, which spends far fewer simulations per candidate in
-the early iterations.  A noisy benchmark suite and a reproducible
-experiment harness round out the library; see the README for usage.
+value-at-risk of a noisy loss.  One search loop takes its risk level from
+a schedule: ramped toward the target as the gradient norm decays, which
+spends far fewer simulations per candidate in the early iterations, or
+started at the target, which is the fixed-level search.  A noisy
+benchmark suite and a reproducible experiment harness round out the
+library; see the README for usage.
 """
 
-from .benchmarks import (
-    BENCHMARK_IDS,
-    BenchmarkLoss,
-    BenchmarkSpec,
-    deterministic_loss,
-    l0_cvar_oracle,
-    l0_min_cvar_oracle,
-    noise_scale,
-    simulate_loss,
-)
-from .engine import (
-    ConstantSchedule,
-    GassConfig,
-    IterationRecord,
-    LossModel,
-    PowerGrowthSchedule,
-    PowerLawStepSize,
-    RunResult,
-    evaluate_candidates,
-    gradient_estimate,
-    newton_step_vector,
-    newton_update,
-    normalized_weights,
-    run_gass_cvar,
-    run_gass_cvar_arl,
-    sample_variance_matrix,
-    weighted_suffstat_mean,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    ReplicationOutcome,
-    budget_to_threshold,
-    emit_csv,
-    emit_reference_run,
-    evaluate_final,
-    load_config,
-    run_experiment,
-    run_replication,
-    save_config,
-)
-from .risk import empirical_cvar, empirical_var, gaussian_cvar_oracle
-from .sampling import (
-    NaturalParams,
-    ProjectionBox,
-    SamplingParams,
-    expected_sufficient_statistics,
-    from_natural,
-    project,
-    sample,
-    sufficient_statistics,
-    to_natural,
-)
-from .schedule import RiskSchedule, inner_sample_size, update_risk_level
-from .shaping import ShapeConfig, sample_quantile_threshold, shape
+from .engine import run_gass_cvar, run_gass_cvar_arl
+from .harness import ConfigError, emit_csv, emit_reference_run, load_config, run_experiment
+from .schedule import RiskSchedule
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 
@@ -88,21 +89,33 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError raised on command-line values as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise harness.ConfigError(str(exc)) from exc
+
+
 def _cmd_benchmark(args) -> int:
-    spec = BenchmarkSpec(args.id, len(args.x))
-    print(f"deterministic_loss={deterministic_loss(spec, args.x)!r}")
-    print(f"noise_scale={noise_scale(spec, args.x)!r}")
-    if args.alpha is not None:
-        if args.id != "l0":
-            raise harness.ConfigError(
-                "config key 'alpha': CVaR oracle is only available for l0"
-            )
-        print(f"cvar_oracle={l0_cvar_oracle(args.x, args.alpha)!r}")
+    if args.alpha is not None and args.id != "l0":
+        raise harness.ConfigError(
+            "config key 'alpha': CVaR oracle is only available for l0"
+        )
+    with _usage_errors():
+        spec = BenchmarkSpec(args.id, len(args.x))
+        lines = [f"deterministic_loss={deterministic_loss(spec, args.x)!r}",
+                 f"noise_scale={noise_scale(spec, args.x)!r}"]
+        if args.alpha is not None:
+            lines.append(f"cvar_oracle={l0_cvar_oracle(args.x, args.alpha)!r}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    point, value = l0_min_cvar_oracle(args.dim, args.alpha)
+    with _usage_errors():
+        point, value = l0_min_cvar_oracle(args.dim, args.alpha)
     print(f"argmin={' '.join(repr(float(v)) for v in point)}")
     print(f"value={value!r}")
     return EXIT_OK
@@ -128,7 +141,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (harness.ConfigError, ValueError, FileNotFoundError) as exc:
+    except (harness.ConfigError, FileNotFoundError) as exc:
         # bad input: invalid config values, malformed points, missing files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

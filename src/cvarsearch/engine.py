@@ -12,11 +12,17 @@ One iteration, at risk level alpha_k:
 5. take a regularized Newton step in natural coordinates and clamp the
    result into the feasible box.
 
-``run_gass_cvar`` keeps alpha fixed at the target; ``run_gass_cvar_arl``
-starts low and ramps it with the gradient-norm schedule, spending only
-ceil(eff / (1 - alpha_k)) simulations per candidate along the way.  Both
-re-evaluate their reported solution with a fresh simulation budget, and
-that extra budget is accounted separately from the search budget.
+alpha_k always comes from a ``RiskSchedule``, and the per-candidate
+budget M_k is a function of alpha_k.  ``run_gass_cvar_arl`` runs both
+algorithms: started below the target, the schedule ramps alpha with the
+gradient-norm decay and spends only ceil(eff / (1 - alpha_k)) simulations
+per candidate along the way; started at the target (a zero gap), it never
+moves, which is fixed-level GASS-CVaR.  It re-evaluates every iteration's
+best candidate at the target level and reports the argmin of those fresh
+values.  ``run_gass_cvar`` is the zero-gap search with a fixed
+per-candidate budget and a single re-evaluation, of the candidate with the
+best in-run estimate; the large-budget reference run uses it.
+Re-evaluation budget is accounted separately from the search budget.
 
 Randomness: every consumer draws from a substream keyed by its role and
 position (iteration, candidate index), so results do not depend on
@@ -39,9 +45,9 @@ from scipy import linalg
 
 from .risk import empirical_cvar
 from .sampling import (
-    NaturalParams,
     ProjectionBox,
     SamplingParams,
+    _project_moments,
     _project_raw_natural,
     expected_sufficient_statistics,
     sample,
@@ -67,7 +73,6 @@ __all__ = [
     "sample_variance_matrix",
     "gradient_estimate",
     "newton_step_vector",
-    "newton_update",
     "evaluate_candidates",
     "run_gass_cvar",
     "run_gass_cvar_arl",
@@ -188,10 +193,11 @@ class IterationRecord:
 class RunResult:
     """A finished run: telemetry plus the re-evaluated reported solution.
 
-    ``record_values`` holds fresh target-level CVaR values of each
-    iteration's best candidate when those were computed (always for the
-    ramping variant, on request otherwise); ``final_eval_count`` is the
-    simulation budget those re-evaluations consumed.
+    ``record_values`` holds the fresh target-level CVaR value of every
+    iteration's best candidate (``run_gass_cvar_arl``, which reports their
+    argmin); it is None for ``run_gass_cvar``, which re-evaluates only the
+    candidate with the best in-run estimate.  ``final_eval_count`` is the
+    simulation budget the re-evaluations consumed.
     """
 
     records: list[IterationRecord]
@@ -287,13 +293,6 @@ def newton_step_vector(theta, grad, var_matrix, step_size: float,
     return theta + step_size * direction
 
 
-def newton_update(nat: NaturalParams, grad, var_matrix, step_size: float,
-                  epsilon: float, box: ProjectionBox) -> NaturalParams:
-    """One projected update of the natural parameters."""
-    raw = newton_step_vector(nat.as_vector(), grad, var_matrix, step_size, epsilon)
-    return to_natural(_project_raw_natural(raw, box))
-
-
 def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
                      seq: np.random.SeedSequence, *key: int, first: int = 0) -> np.ndarray:
     """CVaR estimate of each candidate in xs from m fresh simulations.
@@ -333,29 +332,17 @@ def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
     return _candidate_cvars(loss, candidates, alpha, budget, as_seed_sequence(seed))
 
 
-def _clamp_moments(params: SamplingParams, box: ProjectionBox) -> SamplingParams:
-    return SamplingParams(
-        mean=np.clip(params.mean, box.mean_lo, box.mean_hi),
-        variance=np.clip(params.variance, box.var_lo, box.var_hi),
-    )
-
-
-def _run_search(config: GassConfig, loss: LossModel, seed_seq, *,
-                alpha_star: float, inner_budget: Callable[[int], int] | None = None,
-                schedule: RiskSchedule | None = None,
-                effective_size: int | None = None):
-    """Shared loop; fixed risk level when schedule is None, ramped otherwise."""
-    params = _clamp_moments(config.init_params, config.box)
+def _run_search(config: GassConfig, loss: LossModel, seed_seq,
+                schedule: RiskSchedule, inner_budget: Callable[[float], int]):
+    """The search loop: alpha_k from the schedule, M_k = inner_budget(alpha_k)."""
+    params = SamplingParams(*_project_moments(
+        config.init_params.mean, config.init_params.variance, config.box))
     records: list[IterationRecord] = []
     cum_evals = 0
     terminated = MAX_ITERATIONS
     for k in range(config.max_iterations):
-        if schedule is None:
-            alpha_k = alpha_star
-            m_k = int(inner_budget(k))
-        else:
-            alpha_k = schedule.alpha_current
-            m_k = inner_sample_size(alpha_k, effective_size)
+        alpha_k = schedule.alpha_current
+        m_k = int(inner_budget(alpha_k))
         if m_k < 1:
             raise ValueError(f"inner budget must be >= 1, got {m_k} at iteration {k}")
         n_k = int(config.n_candidates(k))
@@ -391,12 +378,11 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq, *,
         ))
 
         raw = newton_step_vector(
-            to_natural(params).as_vector(), grad, sample_variance_matrix(stats),
+            to_natural(params), grad, sample_variance_matrix(stats),
             beta_k, config.epsilon,
         )
         params = _project_raw_natural(raw, config.box)
-        if schedule is not None:
-            schedule = update_risk_level(schedule, grad_norm)
+        schedule = update_risk_level(schedule, grad_norm)
         if grad_norm <= config.grad_norm_stop:
             terminated = GRAD_THRESHOLD
             break
@@ -404,65 +390,52 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq, *,
 
 
 def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
-                  inner_budget: Callable[[int], int], seed, *,
-                  final_eval_budget: int = 100_000,
-                  evaluate_records: bool = False) -> RunResult:
-    """Fixed-level search: every iteration estimates CVaR at alpha_star.
+                  inner_budget: int, seed, *,
+                  final_eval_budget: int = 100_000) -> RunResult:
+    """Fixed-level search with ``inner_budget`` simulations per candidate.
 
-    Reports the candidate with the best in-run estimate across all
-    iterations, re-evaluated with ``final_eval_budget`` fresh simulations.
-    With ``evaluate_records`` every iteration's best candidate gets such a
-    re-evaluation, which downstream reporting uses for budget curves.
+    The zero-gap schedule keeps every iteration at alpha_star.  Reports the
+    candidate with the best in-run estimate across all iterations,
+    re-evaluated once with ``final_eval_budget`` fresh simulations; the
+    other records are not re-evaluated, which keeps large-budget runs such
+    as the reference optimum at one extra candidate evaluation.
     """
-    if not (0.0 <= float(alpha_star) < 1.0):
-        raise ValueError(f"alpha_star must lie in [0, 1), got {alpha_star}")
     if int(final_eval_budget) < 1:
         raise ValueError("final_eval_budget must be >= 1")
+    schedule = RiskSchedule.start(alpha_star, alpha_star)
+    m = int(inner_budget)
     seed_seq = as_seed_sequence(seed)
-    records, terminated = _run_search(
-        config, loss, seed_seq, alpha_star=float(alpha_star), inner_budget=inner_budget
-    )
-    estimates = np.array([r.best_cvar_estimate for r in records])
-    j = int(np.argmin(estimates))
-    final_seq = substream(seed_seq, _FINAL_REALM)
-    if evaluate_records:
-        values = evaluate_candidates(
-            loss, [r.best_candidate for r in records], float(alpha_star),
-            final_eval_budget, final_seq,
-        )
-        final_value = float(values[j])
-        final_evals = int(final_eval_budget) * len(records)
-    else:
-        values = None
-        final_value = float(_candidate_cvars(
-            loss, [records[j].best_candidate], float(alpha_star),
-            int(final_eval_budget), final_seq, first=j,
-        )[0])
-        final_evals = int(final_eval_budget)
+    records, terminated = _run_search(config, loss, seed_seq, schedule, lambda alpha: m)
+    j = int(np.argmin([r.best_cvar_estimate for r in records]))
+    final_value = _candidate_cvars(
+        loss, [records[j].best_candidate], schedule.alpha_target,
+        int(final_eval_budget), substream(seed_seq, _FINAL_REALM), first=j,
+    )[0]
     return RunResult(
         records=records,
         final_best_candidate=records[j].best_candidate,
-        final_best_cvar=final_value,
+        final_best_cvar=float(final_value),
         terminated_by=terminated,
-        record_values=values,
-        final_eval_count=final_evals,
+        final_eval_count=int(final_eval_budget),
     )
 
 
 def run_gass_cvar_arl(config: GassConfig, loss: LossModel, schedule: RiskSchedule,
                       effective_size: int, seed, *,
                       final_eval_budget: int = 100_000) -> RunResult:
-    """Ramped-level search: alpha follows the gradient-norm schedule.
+    """Search whose level follows the gradient-norm schedule, with
+    ceil(effective_size / (1 - alpha_k)) simulations per candidate.
 
-    In-run estimates at different levels are not comparable, so every
-    iteration's best candidate is re-evaluated at the target level with
-    fresh simulations and the argmin of those values is reported.
+    A schedule started at its target is fixed-level GASS-CVaR.  In-run
+    estimates at different levels are not comparable, so every iteration's
+    best candidate is re-evaluated at the target level with fresh
+    simulations and the argmin of those values is reported.
     """
     seed_seq = as_seed_sequence(seed)
     alpha_star = schedule.alpha_target
     records, terminated = _run_search(
-        config, loss, seed_seq, alpha_star=alpha_star,
-        schedule=schedule, effective_size=int(effective_size),
+        config, loss, seed_seq, schedule,
+        lambda alpha: inner_sample_size(alpha, effective_size),
     )
     values = evaluate_candidates(
         loss, [r.best_candidate for r in records], alpha_star,

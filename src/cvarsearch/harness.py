@@ -50,12 +50,12 @@ from .engine import (
     PowerGrowthSchedule,
     PowerLawStepSize,
     RunResult,
-    evaluate_candidates,
     run_gass_cvar,
     run_gass_cvar_arl,
 )
 from .sampling import ProjectionBox, SamplingParams
-from .schedule import RiskSchedule, inner_sample_size
+from .schedule import RiskSchedule
+from .schedule import inner_sample_size  # noqa: F401  unused; perfbench/tracing.py wraps it by name
 from .shaping import ShapeConfig
 from .streams import as_seed_sequence, generator, substream
 
@@ -68,7 +68,6 @@ __all__ = [
     "save_config",
     "run_experiment",
     "run_replication",
-    "evaluate_final",
     "emit_csv",
     "emit_reference_run",
     "budget_to_threshold",
@@ -305,19 +304,13 @@ def run_replication(config: ExperimentConfig, rep: int) -> ReplicationOutcome:
     mean0 = rng_init.uniform(config.mean_init_lo, config.mean_init_hi, config.dim)
     gcfg = _gass_config(config, mean0)
     loss = BenchmarkLoss(BenchmarkSpec(config.benchmark, config.dim))
-    engine_seed = substream(rep_seq, 1)
-    if config.algorithm == "gass_cvar":
-        budget = ConstantSchedule(inner_sample_size(config.alpha_star, config.effective_size))
-        result = run_gass_cvar(
-            gcfg, loss, config.alpha_star, budget, engine_seed,
-            final_eval_budget=config.final_eval_budget, evaluate_records=True,
-        )
-    else:
-        result = run_gass_cvar_arl(
-            gcfg, loss, RiskSchedule.start(config.alpha_init, config.alpha_star),
-            config.effective_size, engine_seed,
-            final_eval_budget=config.final_eval_budget,
-        )
+    # fixed-level GASS-CVaR is the ramp started at its target
+    alpha_init = config.alpha_star if config.algorithm == "gass_cvar" else config.alpha_init
+    result = run_gass_cvar_arl(
+        gcfg, loss, RiskSchedule.start(alpha_init, config.alpha_star),
+        config.effective_size, substream(rep_seq, 1),
+        final_eval_budget=config.final_eval_budget,
+    )
     return ReplicationOutcome(rep=rep, result=result)
 
 
@@ -395,14 +388,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
             futures = [pool.submit(run_replication, config, rep) for rep in reps]
             outcomes = [f.result() for f in futures]
     return _aggregate(config, float(reference_value), outcomes)
-
-
-def evaluate_final(loss, candidates, alpha_star: float, budget: int,
-                   seed) -> tuple[np.ndarray, float]:
-    """Fresh target-level value per candidate; returns (argmin, its value)."""
-    values = evaluate_candidates(loss, candidates, alpha_star, budget, seed)
-    j = int(np.argmin(values))
-    return np.asarray(candidates[j], dtype=float), float(values[j])
 
 
 def budget_to_threshold(outcome: ReplicationOutcome, threshold: float) -> int | None:
@@ -506,8 +491,7 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     gcfg = _gass_config(ref_cfg, mean0)
     loss = BenchmarkLoss(BenchmarkSpec(config.benchmark, config.dim))
     result = run_gass_cvar(
-        gcfg, loss, config.alpha_star,
-        ConstantSchedule(config.reference_inner_budget),
+        gcfg, loss, config.alpha_star, config.reference_inner_budget,
         substream(ref_seed, 1),
         final_eval_budget=config.reference_inner_budget,
     )

@@ -7,6 +7,8 @@ two equivalent coordinate systems:
   clamping into the feasible box;
 * natural view ``(eta1, eta2) = (mean/variance, -1/(2 variance))``, the
   exponential-family parameters in which the search update is additive.
+  It is only ever a raw stacked vector: ``to_natural`` produces it, and
+  ``_project_raw_natural`` maps an updated one back into the box.
 
 The sufficient statistic of a point x is ``(x_1..x_D, x_1^2..x_D^2)``,
 stacked first moments then squares, so vectors in natural coordinates and
@@ -21,14 +23,11 @@ import numpy as np
 
 __all__ = [
     "SamplingParams",
-    "NaturalParams",
     "ProjectionBox",
     "sufficient_statistics",
     "expected_sufficient_statistics",
     "sample",
     "to_natural",
-    "from_natural",
-    "project",
 ]
 
 
@@ -61,32 +60,6 @@ class SamplingParams:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-@dataclass(frozen=True)
-class NaturalParams:
-    """Natural-view parameters; eta2 must be strictly negative."""
-
-    eta1: np.ndarray
-    eta2: np.ndarray
-
-    def __post_init__(self):
-        eta1 = _as_vector(self.eta1, "eta1")
-        eta2 = _as_vector(self.eta2, "eta2")
-        if eta2.shape != eta1.shape:
-            raise ValueError("eta1 and eta2 must have the same length")
-        if not np.all(eta2 < 0):
-            raise ValueError("eta2 must be strictly negative")
-        object.__setattr__(self, "eta1", eta1)
-        object.__setattr__(self, "eta2", eta2)
-
-    @property
-    def dim(self) -> int:
-        return self.eta1.size
-
-    def as_vector(self) -> np.ndarray:
-        """Stacked (eta1, eta2) vector of length 2 D."""
-        return np.concatenate([self.eta1, self.eta2])
 
 
 @dataclass(frozen=True)
@@ -136,14 +109,6 @@ class ProjectionBox:
             var_hi=np.full(d, float(var_hi)),
         )
 
-    def contains(self, params: SamplingParams) -> bool:
-        return bool(
-            np.all(params.mean >= self.mean_lo)
-            and np.all(params.mean <= self.mean_hi)
-            and np.all(params.variance >= self.var_lo)
-            and np.all(params.variance <= self.var_hi)
-        )
-
 
 def sufficient_statistics(x) -> np.ndarray:
     """Statistic vector (x, x^2) of length 2 D.
@@ -177,14 +142,9 @@ def sample(params: SamplingParams, n: int, rng: np.random.Generator) -> np.ndarr
     return params.mean + std * rng.standard_normal((n, params.dim))
 
 
-def to_natural(params: SamplingParams) -> NaturalParams:
-    return NaturalParams(eta1=params.mean / params.variance,
-                         eta2=-0.5 / params.variance)
-
-
-def from_natural(nat: NaturalParams) -> SamplingParams:
-    variance = -0.5 / nat.eta2
-    return SamplingParams(mean=nat.eta1 * variance, variance=variance)
+def to_natural(params: SamplingParams) -> np.ndarray:
+    """Stacked natural coordinates (mean/variance, -1/(2 variance)), length 2 D."""
+    return np.concatenate([params.mean / params.variance, -0.5 / params.variance])
 
 
 def _project_moments(mean: np.ndarray, variance: np.ndarray,
@@ -200,7 +160,9 @@ def _project_raw_natural(theta: np.ndarray, box: ProjectionBox) -> SamplingParam
     finite variance).  Such coordinates are sent to the variance ceiling,
     the closest feasible curvature, before the moment clamp.
     """
-    d = theta.size // 2
+    if theta.shape != (2 * box.dim,):
+        raise ValueError(f"need a natural vector of length {2 * box.dim}, got {theta.shape}")
+    d = box.dim
     eta1, eta2 = theta[:d], theta[d:]
     ok = eta2 < 0
     variance = np.where(ok, -0.5 / np.where(ok, eta2, -1.0), np.inf)
@@ -210,17 +172,3 @@ def _project_raw_natural(theta: np.ndarray, box: ProjectionBox) -> SamplingParam
     mean = eta1 * np.where(np.isfinite(variance), variance, var_c)
     mean_c, var_c = _project_moments(mean, var_c, box)
     return SamplingParams(mean=mean_c, variance=var_c)
-
-
-def project(nat: NaturalParams, box: ProjectionBox) -> NaturalParams:
-    """Clamp into the feasible box, working in the moment view.
-
-    Converts to (mean, variance), clips each coordinate into the box, and
-    converts back.  Idempotent: points already inside the box map to
-    themselves up to coordinate-conversion round-off.
-    """
-    if nat.dim != box.dim:
-        raise ValueError("params and box dimension mismatch")
-    params = from_natural(nat)
-    mean_c, var_c = _project_moments(params.mean, params.variance, box)
-    return to_natural(SamplingParams(mean=mean_c, variance=var_c))

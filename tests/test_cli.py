@@ -4,6 +4,7 @@ import subprocess
 import pytest
 import yaml
 
+from cvarsearch import harness
 from cvarsearch.benchmarks import l0_min_cvar_oracle
 from cvarsearch.cli import main
 
@@ -103,6 +104,18 @@ def test_run_unknown_key(tmp_path, capsys):
     path.write_text(yaml.safe_dump({**RUN_KEYS, "spices": 11}))
     assert main(["run", str(path)]) == 2
     assert "'spices'" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_runtime_value_error_is_exit_3(tmp_path, capsys, monkeypatch):
+    # a ValueError after the config was accepted is a runtime failure
+    def fail(*args, **kwargs):
+        raise ValueError("losses must be finite")
+
+    monkeypatch.setattr(harness, "run_experiment", fail)
+    config = write_config(tmp_path)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "losses must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -19,7 +19,6 @@ from cvarsearch.engine import (
     evaluate_candidates,
     gradient_estimate,
     newton_step_vector,
-    newton_update,
     normalized_weights,
     run_gass_cvar,
     run_gass_cvar_arl,
@@ -30,8 +29,8 @@ from cvarsearch.risk import empirical_cvar
 from cvarsearch.sampling import (
     ProjectionBox,
     SamplingParams,
+    _project_raw_natural,
     expected_sufficient_statistics,
-    from_natural,
     sample,
     sufficient_statistics,
     to_natural,
@@ -250,17 +249,20 @@ class TestNewtonStep:
 class TestNewtonUpdate:
     BOX = ProjectionBox.symmetric(1, mean_bound=5.0, var_hi=8.0, var_lo=0.1)
 
+    def update(self, grad):
+        theta = to_natural(SamplingParams(mean=np.zeros(1), variance=np.ones(1)))
+        raw = newton_step_vector(theta, grad, np.eye(2), 1.0, 1e-9)
+        return _project_raw_natural(raw, self.BOX)
+
     def test_variance_floor_applied(self):
-        nat = to_natural(SamplingParams(mean=np.zeros(1), variance=np.ones(1)))
-        out = newton_update(nat, np.array([0.0, -10.0]), np.eye(2), 1.0, 1e-9, self.BOX)
-        assert from_natural(out).variance[0] == pytest.approx(0.1, rel=1e-12)
+        out = self.update(np.array([0.0, -10.0]))
+        assert out.variance[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_curvature_escape_maps_to_variance_ceiling(self):
         # a step flipping the curvature coordinate non-negative leaves the
         # family's domain; the projection lands on the largest variance
-        nat = to_natural(SamplingParams(mean=np.zeros(1), variance=np.ones(1)))
-        out = newton_update(nat, np.array([0.0, 10.0]), np.eye(2), 1.0, 1e-9, self.BOX)
-        assert from_natural(out).variance[0] == pytest.approx(8.0, rel=1e-12)
+        out = self.update(np.array([0.0, 10.0]))
+        assert out.variance[0] == pytest.approx(8.0, rel=1e-12)
 
 
 class TestEvaluateCandidates:
@@ -341,7 +343,7 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(engine, "empirical_cvar", recording_cvar)
         loss = RecordingLoss(2)
         config = small_config(n_candidates=ConstantSchedule(n), max_iterations=1)
-        run_gass_cvar(config, loss, alpha, ConstantSchedule(m), 19, final_eval_budget=10)
+        run_gass_cvar(config, loss, alpha, m, 19, final_eval_budget=10)
         searched = np.hstack(estimates)[:n]
         want = _one_at_a_time(loss.inner, loss.points[:n], alpha, m,
                               as_seed_sequence(19), engine._LOSS_REALM, 0)
@@ -353,7 +355,7 @@ class TestBlockedEvaluation:
         config = small_config(n_candidates=ConstantSchedule(n), max_iterations=2)
         tracemalloc.start()
         try:
-            run_gass_cvar(config, self.LOSS, 0.99, ConstantSchedule(m), 3,
+            run_gass_cvar(config, self.LOSS, 0.99, m, 3,
                           final_eval_budget=m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -366,9 +368,9 @@ class TestFixedLevelRun:
 
     def test_deterministic_given_seed(self):
         config = small_config(max_iterations=5)
-        a = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(20), 7,
+        a = run_gass_cvar(config, self.LOSS, 0.9, 20, 7,
                           final_eval_budget=200)
-        b = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(20), 7,
+        b = run_gass_cvar(config, self.LOSS, 0.9, 20, 7,
                           final_eval_budget=200)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
@@ -380,15 +382,15 @@ class TestFixedLevelRun:
 
     def test_seed_changes_draws(self):
         config = small_config(max_iterations=3)
-        a = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(20), 7,
+        a = run_gass_cvar(config, self.LOSS, 0.9, 20, 7,
                           final_eval_budget=200)
-        b = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(20), 8,
+        b = run_gass_cvar(config, self.LOSS, 0.9, 20, 8,
                           final_eval_budget=200)
         assert a.records[0].best_cvar_estimate != b.records[0].best_cvar_estimate
 
     def test_budget_accounting(self):
         config = small_config(max_iterations=4, n_candidates=ConstantSchedule(5))
-        out = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(3), 0,
+        out = run_gass_cvar(config, self.LOSS, 0.9, 3, 0,
                             final_eval_budget=50)
         assert [r.cumulative_loss_evals for r in out.records] == [15, 30, 45, 60]
         assert out.terminated_by == MAX_ITERATIONS
@@ -396,37 +398,42 @@ class TestFixedLevelRun:
         assert out.record_values is None
 
     def test_record_evaluation_budget(self):
+        # the fixed-level arm is the zero-gap ramp: every record is
+        # re-evaluated and the argmin of the fresh values is reported
         config = small_config(max_iterations=4, n_candidates=ConstantSchedule(5))
-        out = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(3), 0,
-                            final_eval_budget=50, evaluate_records=True)
+        out = run_gass_cvar_arl(config, self.LOSS, RiskSchedule.start(0.9, 0.9), 2, 0,
+                                final_eval_budget=50)
         assert out.record_values.shape == (4,)
         assert out.final_eval_count == 200
-        j = int(np.argmin([r.best_cvar_estimate for r in out.records]))
+        j = int(np.argmin(out.record_values))
         assert out.final_best_cvar == out.record_values[j]
         np.testing.assert_array_equal(
             out.final_best_candidate, out.records[j].best_candidate
         )
 
     def test_final_value_identical_either_way(self):
-        # the reported value must not depend on whether the other records
-        # were re-evaluated too
+        # the single re-evaluation draws from the stream the record would
+        # get if every record were re-evaluated
         config = small_config(max_iterations=4)
-        lean = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(10), 3,
+        lean = run_gass_cvar(config, self.LOSS, 0.9, 10, 3,
                              final_eval_budget=400)
-        full = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(10), 3,
-                             final_eval_budget=400, evaluate_records=True)
-        assert lean.final_best_cvar == full.final_best_cvar
+        full = evaluate_candidates(
+            self.LOSS, [r.best_candidate for r in lean.records], 0.9, 400,
+            substream(as_seed_sequence(3), engine._FINAL_REALM),
+        )
+        j = int(np.argmin([r.best_cvar_estimate for r in lean.records]))
+        assert lean.final_best_cvar == full[j]
 
     def test_grad_threshold_stop(self):
         config = small_config(max_iterations=50, grad_norm_stop=1e9)
-        out = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(5), 0,
+        out = run_gass_cvar(config, self.LOSS, 0.9, 5, 0,
                             final_eval_budget=20)
         assert len(out.records) == 1
         assert out.terminated_by == GRAD_THRESHOLD
 
     def test_first_snapshot_is_initial_family(self):
         config = small_config(max_iterations=1)
-        out = run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(5), 0,
+        out = run_gass_cvar(config, self.LOSS, 0.9, 5, 0,
                             final_eval_budget=20)
         snap = out.records[0].params_snapshot
         np.testing.assert_array_equal(snap.mean, config.init_params.mean)
@@ -434,23 +441,23 @@ class TestFixedLevelRun:
 
     def test_alpha_zero_runs(self):
         config = small_config(max_iterations=3)
-        out = run_gass_cvar(config, self.LOSS, 0.0, ConstantSchedule(10), 5,
+        out = run_gass_cvar(config, self.LOSS, 0.0, 10, 5,
                             final_eval_budget=100)
         assert all(r.alpha == 0.0 for r in out.records)
 
     def test_alpha_star_domain(self):
         config = small_config(max_iterations=1)
         with pytest.raises(ValueError):
-            run_gass_cvar(config, self.LOSS, 1.0, ConstantSchedule(5), 0)
+            run_gass_cvar(config, self.LOSS, 1.0, 5, 0)
 
     def test_candidate_count_floor(self):
         config = small_config(max_iterations=1, n_candidates=ConstantSchedule(1))
         with pytest.raises(ValueError):
-            run_gass_cvar(config, self.LOSS, 0.9, ConstantSchedule(5), 0)
+            run_gass_cvar(config, self.LOSS, 0.9, 5, 0)
 
     def test_converges_on_noiseless_quadratic(self):
         config = small_config(max_iterations=150)
-        out = run_gass_cvar(config, NoiselessLoss(), 0.9, ConstantSchedule(2), 11,
+        out = run_gass_cvar(config, NoiselessLoss(), 0.9, 2, 11,
                             final_eval_budget=2)
         assert out.final_best_cvar <= 0.1
 
@@ -491,24 +498,28 @@ class TestRampedRun:
 
     def test_degenerate_ramp_matches_fixed_run(self):
         # starting at the target makes the schedule inert; with matching
-        # per-candidate budgets both engines must replay identical draws
+        # per-candidate budgets both entry points replay identical draws,
+        # and the fixed run reports the ramp's fresh value at the record
+        # with the best in-run estimate
         eff = 12
         config = small_config(max_iterations=6)
         ramp = run_gass_cvar_arl(config, self.LOSS, RiskSchedule.start(0.9, 0.9),
                                  eff, 21, final_eval_budget=100)
-        fixed = run_gass_cvar(
-            config, self.LOSS, 0.9,
-            ConstantSchedule(inner_sample_size(0.9, eff)), 21,
-            final_eval_budget=100, evaluate_records=True,
-        )
+        fixed = run_gass_cvar(config, self.LOSS, 0.9, inner_sample_size(0.9, eff), 21,
+                              final_eval_budget=100)
         assert len(ramp.records) == len(fixed.records)
         for ra, rb in zip(ramp.records, fixed.records):
-            assert ra.alpha == rb.alpha
+            assert ra.alpha == rb.alpha == 0.9
             assert ra.grad_norm == rb.grad_norm
             assert ra.best_cvar_estimate == rb.best_cvar_estimate
             assert ra.cumulative_loss_evals == rb.cumulative_loss_evals
             np.testing.assert_array_equal(ra.best_candidate, rb.best_candidate)
-        np.testing.assert_array_equal(ramp.record_values, fixed.record_values)
+        j = int(np.argmin([r.best_cvar_estimate for r in fixed.records]))
+        assert fixed.final_best_cvar == ramp.record_values[j]
+        np.testing.assert_array_equal(fixed.final_best_candidate,
+                                      ramp.records[j].best_candidate)
+        assert fixed.record_values is None
+        assert fixed.final_eval_count == 100
 
     def test_deterministic_given_seed(self):
         config = small_config(max_iterations=5)

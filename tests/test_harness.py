@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from cvarsearch.benchmarks import BenchmarkLoss, BenchmarkSpec, l0_min_cvar_oracle
+from cvarsearch.engine import evaluate_candidates
 from cvarsearch.harness import (
     ConfigError,
     ExperimentConfig,
     budget_to_threshold,
     emit_csv,
     emit_reference_run,
-    evaluate_final,
     load_config,
     run_experiment,
     run_replication,
@@ -192,6 +192,17 @@ class TestReplications:
         bests = outcome.best_values
         assert np.all(np.diff(bests) <= 0)
 
+    def test_fixed_arm_reports_argmin_of_fresh_values(self):
+        # in rep 2 of this config the best in-run estimate (iteration 3) is
+        # not the best fresh target-level value (iteration 2)
+        outcome = run_replication(tiny_config(step_a=2.0, step_b=10.0, n_candidates=12), 2)
+        r = outcome.result
+        j = int(np.argmin(r.record_values))
+        assert j != int(np.argmin([rec.best_cvar_estimate for rec in r.records]))
+        assert r.final_best_cvar == r.record_values.min()
+        np.testing.assert_array_equal(r.final_best_candidate, r.records[j].best_candidate)
+        assert all(rec.alpha == 0.8 for rec in r.records)
+
     def test_arl_algorithm_dispatch(self):
         config = tiny_config(algorithm="gass_cvar_arl", alpha_init=0.0)
         outcome = run_replication(config, 0)
@@ -255,9 +266,10 @@ class TestEvaluateFinal:
         # at the 0.99 level the noise-centre point beats the origin
         loss = BenchmarkLoss(BenchmarkSpec("l0", 10))
         cands = [np.zeros(10), np.ones(10)]
-        point, value = evaluate_final(loss, cands, 0.99, 100_000, 123)
-        np.testing.assert_array_equal(point, np.ones(10))
-        assert value == pytest.approx(12.665214220345804, abs=0.5)
+        values = evaluate_candidates(loss, cands, 0.99, 100_000, 123)
+        j = int(np.argmin(values))
+        np.testing.assert_array_equal(cands[j], np.ones(10))
+        assert values[j] == pytest.approx(12.665214220345804, abs=0.5)
 
 
 class TestReference:
