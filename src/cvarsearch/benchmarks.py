@@ -169,14 +169,10 @@ def simulate_loss(spec: BenchmarkSpec, x, m: int, rng: np.random.Generator) -> n
 class BenchmarkLoss:
     """Loss-model handle over a benchmark: the interface the engines consume.
 
-    ``simulate(x, m, rng)`` draws noisy losses; ``deterministic_value(x)``
-    exposes the noise-free objective for diagnostics.
+    ``simulate(x, m, rng)`` draws m noisy losses at x.
     """
 
     spec: BenchmarkSpec
-
-    def deterministic_value(self, x) -> float:
-        return deterministic_loss(self.spec, x)
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
         return simulate_loss(self.spec, x, m, rng)

@@ -12,6 +12,13 @@ One iteration, at risk level alpha_k:
 5. take a regularized Newton step in natural coordinates and clamp the
    result into the feasible box.
 
+N_k = ceil(N * max(k, 1)^exponent) comes from a ``PowerGrowthSchedule``
+(exponent 0 keeps it constant) and the step size from a
+``PowerLawStepSize``.  Both check their parameters when built, and the
+run functions check their budgets on entry, so every error about these
+inputs is raised before the first simulation; the loop itself checks
+nothing.
+
 alpha_k always comes from a ``RiskSchedule``, and the per-candidate
 budget M_k is a function of alpha_k.  ``run_gass_cvar_arl`` runs both
 algorithms: started below the target, the schedule ramps alpha with the
@@ -61,7 +68,6 @@ from .streams import as_seed_sequence, generator, substream
 __all__ = [
     "LossModel",
     "PowerLawStepSize",
-    "ConstantSchedule",
     "PowerGrowthSchedule",
     "GassConfig",
     "IterationRecord",
@@ -69,9 +75,7 @@ __all__ = [
     "GRAD_THRESHOLD",
     "MAX_ITERATIONS",
     "normalized_weights",
-    "weighted_suffstat_mean",
     "sample_variance_matrix",
-    "gradient_estimate",
     "newton_step_vector",
     "evaluate_candidates",
     "run_gass_cvar",
@@ -95,26 +99,24 @@ _BLOCK_BYTES = 1 << 20
 
 
 class LossModel(Protocol):
-    """What the engines require of a loss: fresh noisy simulations.
-
-    ``deterministic_value`` is optional diagnostics; the search itself only
-    ever calls ``simulate``.
-    """
+    """What the engines require of a loss: fresh noisy simulations."""
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
 class PowerLawStepSize:
-    """step(k) = a / (k + b)^gamma; valid for gamma in (0.5, 1], a, b > 0."""
+    """step(k) = a / (k + b)^gamma; valid for gamma in (0.5, 1], finite a, b > 0."""
 
     a: float
     b: float
     gamma: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("step-size a and b must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.a, self.b)):
+            raise ValueError(
+                f"step-size a and b must be positive and finite, got {self.a} and {self.b}"
+            )
         if not (0.5 < self.gamma <= 1.0):
             raise ValueError(f"step-size gamma must lie in (0.5, 1], got {self.gamma}")
 
@@ -123,21 +125,21 @@ class PowerLawStepSize:
 
 
 @dataclass(frozen=True)
-class ConstantSchedule:
-    """Constant per-iteration count."""
-
-    value: int
-
-    def __call__(self, k: int) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class PowerGrowthSchedule:
-    """count(k) = ceil(base * max(k, 1)^exponent); k = 0 maps to base."""
+    """count(k) = ceil(base * max(k, 1)^exponent); k = 0 maps to base.
+
+    Exponent 0 gives the constant count base.  base >= 2 and a finite
+    exponent >= 0 keep every count >= 2, as the sample variance needs.
+    """
 
     base: int
     exponent: float
+
+    def __post_init__(self):
+        if not self.base >= 2:
+            raise ValueError(f"candidate count base must be >= 2, got {self.base}")
+        if not (math.isfinite(self.exponent) and self.exponent >= 0):
+            raise ValueError(f"growth exponent must be finite and >= 0, got {self.exponent}")
 
     def __call__(self, k: int) -> int:
         return math.ceil(self.base * max(k, 1) ** self.exponent)
@@ -150,8 +152,8 @@ class GassConfig:
     init_params: SamplingParams
     box: ProjectionBox
     shape: ShapeConfig
-    step_size: Callable[[int], float]
-    n_candidates: Callable[[int], int]
+    step_size: PowerLawStepSize
+    n_candidates: PowerGrowthSchedule
     epsilon: float = 1e-10
     max_iterations: int = 1000
     grad_norm_stop: float = 1e-3
@@ -228,17 +230,6 @@ def normalized_weights(shape_values) -> np.ndarray:
     return arr / total
 
 
-def weighted_suffstat_mean(weights, stats) -> np.ndarray:
-    """Weighted mean of statistic rows: weights @ stats."""
-    w = np.asarray(weights, dtype=float)
-    s = np.asarray(stats, dtype=float)
-    if w.ndim != 1 or s.ndim != 2 or w.size != s.shape[0]:
-        raise ValueError(
-            f"need weights (n,) and stats (n, p), got {w.shape} and {s.shape}"
-        )
-    return w @ s
-
-
 def sample_variance_matrix(stats) -> np.ndarray:
     """Unbiased sample covariance of statistic rows.
 
@@ -253,15 +244,6 @@ def sample_variance_matrix(stats) -> np.ndarray:
         raise ValueError("need at least 2 statistic rows")
     dev = arr - arr.mean(axis=0)
     return (dev.T @ dev) / (n - 1)
-
-
-def gradient_estimate(weighted_mean, analytic_mean) -> np.ndarray:
-    """Search gradient: weighted statistic mean minus the family's mean."""
-    w = np.asarray(weighted_mean, dtype=float)
-    a = np.asarray(analytic_mean, dtype=float)
-    if w.shape != a.shape or w.ndim != 1:
-        raise ValueError(f"mean vectors must match, got {w.shape} and {a.shape}")
-    return w - a
 
 
 def newton_step_vector(theta, grad, var_matrix, step_size: float,
@@ -342,16 +324,8 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
     terminated = MAX_ITERATIONS
     for k in range(config.max_iterations):
         alpha_k = schedule.alpha_current
-        m_k = int(inner_budget(alpha_k))
-        if m_k < 1:
-            raise ValueError(f"inner budget must be >= 1, got {m_k} at iteration {k}")
-        n_k = int(config.n_candidates(k))
-        if n_k < 2:
-            raise ValueError(f"candidate count must be >= 2, got {n_k} at iteration {k}")
-        beta_k = float(config.step_size(k))
-        if not (math.isfinite(beta_k) and beta_k > 0):
-            raise ValueError(f"step size must be positive and finite, got {beta_k}")
-
+        m_k = inner_budget(alpha_k)
+        n_k = config.n_candidates(k)
         xs = sample(params, n_k, generator(substream(seed_seq, _CANDIDATE_REALM, k)))
         cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k)
         cum_evals += n_k * m_k
@@ -360,10 +334,7 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
         gamma = sample_quantile_threshold(scores, config.shape.rho)
         weights = normalized_weights(shape(scores, gamma, config.shape))
         stats = sufficient_statistics(xs)
-        grad = gradient_estimate(
-            weighted_suffstat_mean(weights, stats),
-            expected_sufficient_statistics(params),
-        )
+        grad = weights @ stats - expected_sufficient_statistics(params)
         grad_norm = float(np.linalg.norm(grad))
 
         i_best = int(np.argmin(cvars))
@@ -379,7 +350,7 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
 
         raw = newton_step_vector(
             to_natural(params), grad, sample_variance_matrix(stats),
-            beta_k, config.epsilon,
+            config.step_size(k), config.epsilon,
         )
         params = _project_raw_natural(raw, config.box)
         schedule = update_risk_level(schedule, grad_norm)
@@ -400,10 +371,12 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     other records are not re-evaluated, which keeps large-budget runs such
     as the reference optimum at one extra candidate evaluation.
     """
+    m = int(inner_budget)
+    if m < 1:
+        raise ValueError(f"inner_budget must be >= 1, got {m}")
     if int(final_eval_budget) < 1:
         raise ValueError("final_eval_budget must be >= 1")
     schedule = RiskSchedule.start(alpha_star, alpha_star)
-    m = int(inner_budget)
     seed_seq = as_seed_sequence(seed)
     records, terminated = _run_search(config, loss, seed_seq, schedule, lambda alpha: m)
     j = int(np.argmin([r.best_cvar_estimate for r in records]))
@@ -431,6 +404,8 @@ def run_gass_cvar_arl(config: GassConfig, loss: LossModel, schedule: RiskSchedul
     best candidate is re-evaluated at the target level with fresh
     simulations and the argmin of those values is reported.
     """
+    if int(final_eval_budget) < 1:
+        raise ValueError("final_eval_budget must be >= 1")
     seed_seq = as_seed_sequence(seed)
     alpha_star = schedule.alpha_target
     records, terminated = _run_search(

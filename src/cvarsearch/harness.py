@@ -45,7 +45,6 @@ from .benchmarks import (
     l0_min_cvar_oracle,
 )
 from .engine import (
-    ConstantSchedule,
     GassConfig,
     PowerGrowthSchedule,
     PowerLawStepSize,
@@ -126,6 +125,9 @@ def _fail(key: str, detail: str):
 
 
 def _validate(c: ExperimentConfig):
+    for f in dataclasses.fields(c):
+        if f.type == "float" and not math.isfinite(getattr(c, f.name)):
+            _fail(f.name, "must be finite")
     if c.benchmark not in BENCHMARK_IDS:
         _fail("benchmark", f"unknown benchmark {c.benchmark!r}, expected one of {BENCHMARK_IDS}")
     if c.dim < 1:
@@ -144,12 +146,12 @@ def _validate(c: ExperimentConfig):
         _fail("n_candidates", "must be >= 2")
     if c.n_growth_exponent < 0:
         _fail("n_growth_exponent", "must be >= 0")
-    if not (math.isfinite(c.s_o) and c.s_o > 0):
-        _fail("s_o", "must be positive and finite")
+    if not c.s_o > 0:
+        _fail("s_o", "must be > 0")
     if not (0.0 < c.rho <= 1.0):
         _fail("rho", "must lie in (0, 1]")
-    if not (math.isfinite(c.epsilon) and c.epsilon > 0):
-        _fail("epsilon", "must be positive and finite")
+    if not c.epsilon > 0:
+        _fail("epsilon", "must be > 0")
     if not (c.step_a > 0):
         _fail("step_a", "must be > 0")
     if not (c.step_b > 0):
@@ -162,8 +164,8 @@ def _validate(c: ExperimentConfig):
         _fail("mean_box_lo", "must be <= mean_box_hi")
     if not (c.mean_box_lo <= c.mean_init_lo and c.mean_init_hi <= c.mean_box_hi):
         _fail("mean_init_lo", "initial-mean range must lie inside the mean box")
-    if not (math.isfinite(c.var_box_lo) and c.var_box_lo > 0):
-        _fail("var_box_lo", "must be positive and finite")
+    if not c.var_box_lo > 0:
+        _fail("var_box_lo", "must be > 0")
     if c.var_box_lo > c.var_box_hi:
         _fail("var_box_lo", "must be <= var_box_hi")
     if not (c.var_box_lo <= c.var_init <= c.var_box_hi):
@@ -174,8 +176,8 @@ def _validate(c: ExperimentConfig):
         _fail("replications", "must be >= 1")
     if c.master_seed < 0:
         _fail("master_seed", "must be >= 0")
-    if not (math.isfinite(c.grad_norm_stop) and c.grad_norm_stop >= 0):
-        _fail("grad_norm_stop", "must be finite and >= 0")
+    if c.grad_norm_stop < 0:
+        _fail("grad_norm_stop", "must be >= 0")
     for key in ("final_eval_budget", "reference_inner_budget"):
         if getattr(c, key) < 1:
             _fail(key, "must be >= 1")
@@ -185,19 +187,12 @@ def _validate(c: ExperimentConfig):
         _fail("reference_max_iterations", "must be >= 1")
 
 
-_INT_FIELDS = {
-    "dim", "effective_size", "n_candidates", "max_iterations", "replications",
-    "master_seed", "final_eval_budget", "reference_n_candidates",
-    "reference_inner_budget", "reference_max_iterations",
-}
-_STR_FIELDS = {"benchmark", "algorithm"}
-
-
 def load_config(path) -> ExperimentConfig:
     """Read a YAML mapping of flat keys into an ExperimentConfig.
 
     Unknown keys, missing required keys, wrong types and constraint
-    violations all raise ConfigError naming the key.
+    violations all raise ConfigError naming the key.  Each key's type is
+    its ExperimentConfig field annotation: "str", "int" or "float".
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -211,12 +206,13 @@ def load_config(path) -> ExperimentConfig:
     for key, value in raw.items():
         if key not in known:
             raise ConfigError(f"config key {key!r}: unknown key")
+        kind = known[key].type
         try:
-            if key in _STR_FIELDS:
+            if kind == "str":
                 if not isinstance(value, str):
                     raise TypeError("expected a string")
                 values[key] = value
-            elif key in _INT_FIELDS:
+            elif kind == "int":
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise TypeError("expected an integer")
                 values[key] = int(value)
@@ -261,16 +257,12 @@ def _projection_box(c: ExperimentConfig) -> ProjectionBox:
 
 
 def _gass_config(c: ExperimentConfig, mean0: np.ndarray) -> GassConfig:
-    if c.n_growth_exponent > 0:
-        counts = PowerGrowthSchedule(c.n_candidates, c.n_growth_exponent)
-    else:
-        counts = ConstantSchedule(c.n_candidates)
     return GassConfig(
         init_params=SamplingParams(mean=mean0, variance=np.full(c.dim, c.var_init)),
         box=_projection_box(c),
         shape=ShapeConfig(s_o=c.s_o, rho=c.rho),
         step_size=PowerLawStepSize(c.step_a, c.step_b, c.step_gamma),
-        n_candidates=counts,
+        n_candidates=PowerGrowthSchedule(c.n_candidates, c.n_growth_exponent),
         epsilon=c.epsilon,
         max_iterations=c.max_iterations,
         grad_norm_stop=c.grad_norm_stop,

@@ -39,13 +39,17 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _order_statistic(arr: np.ndarray, alpha: float) -> np.ndarray:
+    # the max(1, ceil(alpha M))-th ascending order statistic along the last
+    # axis, of already checked input
+    j = max(1, math.ceil(alpha * arr.shape[-1]))
+    return np.partition(arr, j - 1, axis=-1)[..., j - 1]
+
+
 def empirical_var(losses, alpha: float):
     """Empirical VaR: the max(1, ceil(alpha M))-th ascending order statistic."""
     arr = _check_losses(losses)
-    alpha = _check_alpha(alpha)
-    m = arr.shape[-1]
-    j = max(1, math.ceil(alpha * m))
-    out = np.partition(arr, j - 1, axis=-1)[..., j - 1]
+    out = _order_statistic(arr, _check_alpha(alpha))
     return float(out) if arr.ndim == 1 else out
 
 
@@ -63,9 +67,8 @@ def empirical_cvar(losses, alpha: float):
         out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
         return float(out) if arr.ndim == 1 else out
     m = arr.shape[-1]
-    v = empirical_var(arr, alpha)
-    v_col = v[..., None] if arr.ndim == 2 else v
-    excess = np.clip(arr - v_col, 0.0, None)
+    v = _order_statistic(arr, alpha)
+    excess = np.clip(arr - v[..., None], 0.0, None)
     out = v + excess.sum(axis=-1) / (m * (1.0 - alpha))
     return float(out) if arr.ndim == 1 else out
 

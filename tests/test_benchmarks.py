@@ -216,7 +216,6 @@ class TestLossHandle:
     def test_wraps_spec(self):
         loss = BenchmarkLoss(BenchmarkSpec("powell", 4))
         x = np.ones(4)
-        assert loss.deterministic_value(x) == 122.0
         draws = loss.simulate(x, 10, np.random.default_rng(0))
         assert draws.shape == (10,)
 

@@ -94,6 +94,12 @@ def test_run_bad_config(tmp_path, capsys):
     assert "alpha_star" in capsys.readouterr().err
 
 
+def test_run_non_finite_float_is_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, step_a=float("inf"))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "'step_a': must be finite" in capsys.readouterr().err
+
+
 def test_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
     assert "error:" in capsys.readouterr().err

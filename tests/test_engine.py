@@ -12,18 +12,15 @@ from cvarsearch.benchmarks import BenchmarkLoss, BenchmarkSpec
 from cvarsearch.engine import (
     GRAD_THRESHOLD,
     MAX_ITERATIONS,
-    ConstantSchedule,
     GassConfig,
     PowerGrowthSchedule,
     PowerLawStepSize,
     evaluate_candidates,
-    gradient_estimate,
     newton_step_vector,
     normalized_weights,
     run_gass_cvar,
     run_gass_cvar_arl,
     sample_variance_matrix,
-    weighted_suffstat_mean,
 )
 from cvarsearch.risk import empirical_cvar
 from cvarsearch.sampling import (
@@ -36,7 +33,7 @@ from cvarsearch.sampling import (
     to_natural,
 )
 from cvarsearch.schedule import RiskSchedule, inner_sample_size
-from cvarsearch.shaping import ShapeConfig
+from cvarsearch.shaping import ShapeConfig, sample_quantile_threshold, shape
 from cvarsearch.streams import as_seed_sequence, generator, substream
 
 
@@ -55,7 +52,7 @@ def small_config(dim=2, **overrides):
         box=ProjectionBox.symmetric(dim, mean_bound=10.0, var_hi=10.0, var_lo=1e-4),
         shape=ShapeConfig(s_o=1e5, rho=0.1),
         step_size=PowerLawStepSize(2.0, 10.0, 0.6),
-        n_candidates=ConstantSchedule(50),
+        n_candidates=PowerGrowthSchedule(50, 0.0),
         max_iterations=20,
         grad_norm_stop=0.0,
     )
@@ -76,10 +73,15 @@ class TestSchedules:
             PowerLawStepSize(1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             PowerLawStepSize(1.0, 1.0, 1.01)
+        for a, b in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                PowerLawStepSize(a, b, 0.6)
 
     def test_constant(self):
-        assert ConstantSchedule(7)(0) == 7
-        assert ConstantSchedule(7)(123) == 7
+        # exponent 0 is the constant count
+        constant = PowerGrowthSchedule(7, 0.0)
+        assert [constant(k) for k in (0, 1, 2, 123)] == [7, 7, 7, 7]
+        assert isinstance(constant(123), int)
 
     def test_power_growth(self):
         growth = PowerGrowthSchedule(100, 0.5)
@@ -87,6 +89,11 @@ class TestSchedules:
         assert growth(1) == 100
         assert growth(2) == math.ceil(100 * math.sqrt(2))
         assert growth(4) == 200
+
+    def test_power_growth_validation(self):
+        for base, exponent in [(1, 0.0), (0, 0.5), (2, -0.1), (2, math.inf), (2, math.nan)]:
+            with pytest.raises(ValueError):
+                PowerGrowthSchedule(base, exponent)
 
 
 class TestWeights:
@@ -122,15 +129,6 @@ class TestWeights:
 
 
 class TestMoments:
-    def test_weighted_mean_fixture(self):
-        w = np.array([0.25, 0.75])
-        s = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(weighted_suffstat_mean(w, s), np.array([2.5, 3.5]))
-
-    def test_weighted_mean_shape_check(self):
-        with pytest.raises(ValueError):
-            weighted_suffstat_mean(np.ones(3), np.ones((2, 4)))
-
     def test_variance_two_point_fixture(self):
         np.testing.assert_array_equal(
             sample_variance_matrix(np.array([[0.0], [2.0]])), np.array([[2.0]])
@@ -186,13 +184,21 @@ class TestMoments:
         with pytest.raises(ValueError):
             sample_variance_matrix(np.array([[1.0, 2.0]]))
 
-    def test_gradient_fixture(self):
-        got = gradient_estimate(np.array([1.0, 5.0]), np.array([0.5, 7.0]))
-        np.testing.assert_array_equal(got, np.array([0.5, -2.0]))
-
-    def test_gradient_shape_check(self):
-        with pytest.raises(ValueError):
-            gradient_estimate(np.ones(2), np.ones(3))
+    def test_gradient_fixture(self, monkeypatch):
+        # the loop's gradient is the weighted statistic mean minus the
+        # family's analytic mean, recomputed here from the loop's own
+        # candidates and estimates
+        estimates = record_estimates(monkeypatch)
+        loss = RecordingLoss(2)
+        config = small_config(max_iterations=1)
+        out = run_gass_cvar(config, loss, 0.9, 20, 5, final_eval_budget=10)
+        n = config.n_candidates(0)
+        scores = -np.hstack(estimates)[:n]
+        weights = normalized_weights(shape(
+            scores, sample_quantile_threshold(scores, config.shape.rho), config.shape))
+        grad = (weights @ sufficient_statistics(np.array(loss.points[:n]))
+                - expected_sufficient_statistics(config.init_params))
+        assert out.records[0].grad_norm == float(np.linalg.norm(grad))
 
     def test_gradient_mean_zero_under_uniform_weights(self):
         # with flat weights the estimate averages to zero at any fixed family
@@ -204,7 +210,7 @@ class TestMoments:
         for r in range(reps):
             stats = sufficient_statistics(sample(params, n, rng))
             w = normalized_weights(np.ones(n))
-            grads[r] = gradient_estimate(weighted_suffstat_mean(w, stats), analytic)
+            grads[r] = w @ stats - analytic
         se = grads.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(grads.mean(axis=0)) <= 4 * se)
 
@@ -307,6 +313,19 @@ def _one_at_a_time(loss, xs, alpha, m, seq, *key):
     ])
 
 
+def record_estimates(monkeypatch) -> list:
+    """Collect every CVaR estimate the engine computes, in call order."""
+    estimates = []
+
+    def recording_cvar(losses, level):
+        out = empirical_cvar(losses, level)
+        estimates.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "empirical_cvar", recording_cvar)
+    return estimates
+
+
 class RecordingLoss:
     """Benchmark loss that remembers every point it simulated."""
 
@@ -333,16 +352,9 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("n,m", [c for c in BLOCK_CASES if c[0] >= 2])
     @pytest.mark.parametrize("alpha", [0.0, 0.95])
     def test_search_matches_one_at_a_time(self, n, m, alpha, monkeypatch):
-        estimates = []
-
-        def recording_cvar(losses, level):
-            out = empirical_cvar(losses, level)
-            estimates.append(out)
-            return out
-
-        monkeypatch.setattr(engine, "empirical_cvar", recording_cvar)
+        estimates = record_estimates(monkeypatch)
         loss = RecordingLoss(2)
-        config = small_config(n_candidates=ConstantSchedule(n), max_iterations=1)
+        config = small_config(n_candidates=PowerGrowthSchedule(n, 0.0), max_iterations=1)
         run_gass_cvar(config, loss, alpha, m, 19, final_eval_budget=10)
         searched = np.hstack(estimates)[:n]
         want = _one_at_a_time(loss.inner, loss.points[:n], alpha, m,
@@ -352,7 +364,7 @@ class TestBlockedEvaluation:
     def test_search_memory_is_bounded_by_the_block(self):
         # the 400 x 5000 loss matrix alone would take 16 MB
         n, m = 400, 5000
-        config = small_config(n_candidates=ConstantSchedule(n), max_iterations=2)
+        config = small_config(n_candidates=PowerGrowthSchedule(n, 0.0), max_iterations=2)
         tracemalloc.start()
         try:
             run_gass_cvar(config, self.LOSS, 0.99, m, 3,
@@ -389,7 +401,7 @@ class TestFixedLevelRun:
         assert a.records[0].best_cvar_estimate != b.records[0].best_cvar_estimate
 
     def test_budget_accounting(self):
-        config = small_config(max_iterations=4, n_candidates=ConstantSchedule(5))
+        config = small_config(max_iterations=4, n_candidates=PowerGrowthSchedule(5, 0.0))
         out = run_gass_cvar(config, self.LOSS, 0.9, 3, 0,
                             final_eval_budget=50)
         assert [r.cumulative_loss_evals for r in out.records] == [15, 30, 45, 60]
@@ -400,7 +412,7 @@ class TestFixedLevelRun:
     def test_record_evaluation_budget(self):
         # the fixed-level arm is the zero-gap ramp: every record is
         # re-evaluated and the argmin of the fresh values is reported
-        config = small_config(max_iterations=4, n_candidates=ConstantSchedule(5))
+        config = small_config(max_iterations=4, n_candidates=PowerGrowthSchedule(5, 0.0))
         out = run_gass_cvar_arl(config, self.LOSS, RiskSchedule.start(0.9, 0.9), 2, 0,
                                 final_eval_budget=50)
         assert out.record_values.shape == (4,)
@@ -451,15 +463,37 @@ class TestFixedLevelRun:
             run_gass_cvar(config, self.LOSS, 1.0, 5, 0)
 
     def test_candidate_count_floor(self):
-        config = small_config(max_iterations=1, n_candidates=ConstantSchedule(1))
+        # the sample variance needs two candidates; a base of 1 is refused
+        # when the schedule is built, before any run
         with pytest.raises(ValueError):
-            run_gass_cvar(config, self.LOSS, 0.9, 5, 0)
+            PowerGrowthSchedule(1, 0.0)
 
     def test_converges_on_noiseless_quadratic(self):
         config = small_config(max_iterations=150)
         out = run_gass_cvar(config, NoiselessLoss(), 0.9, 2, 11,
                             final_eval_budget=2)
         assert out.final_best_cvar <= 0.1
+
+
+class TestEntryChecks:
+    """Bad run inputs are rejected before the first simulation."""
+
+    CASES = {
+        "arl_final_eval_budget": lambda loss: run_gass_cvar_arl(
+            small_config(max_iterations=5, n_candidates=PowerGrowthSchedule(20, 0.0)),
+            loss, RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=0),
+        "inner_budget": lambda loss: run_gass_cvar(
+            small_config(), loss, 0.9, 0, 0),
+        "step_size_a": lambda loss: run_gass_cvar(
+            small_config(step_size=PowerLawStepSize(math.inf, 1.0, 0.6)), loss, 0.9, 5, 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_before_any_simulation(self, case):
+        loss = RecordingLoss(2)
+        with pytest.raises(ValueError):
+            self.CASES[case](loss)
+        assert loss.points == []
 
 
 class TestRampedRun:
@@ -476,7 +510,7 @@ class TestRampedRun:
 
     def test_budget_follows_recorded_alpha(self):
         eff = 10
-        config = small_config(max_iterations=12, n_candidates=ConstantSchedule(8))
+        config = small_config(max_iterations=12, n_candidates=PowerGrowthSchedule(8, 0.0))
         out = run_gass_cvar_arl(config, self.LOSS, RiskSchedule.start(0.0, 0.9),
                                 eff, 3, final_eval_budget=50)
         prev = 0
@@ -539,7 +573,7 @@ class TestConfigValidation:
                 box=ProjectionBox.symmetric(3, mean_bound=1.0, var_hi=1.0),
                 shape=ShapeConfig(s_o=1.0, rho=0.5),
                 step_size=PowerLawStepSize(1.0, 1.0, 0.6),
-                n_candidates=ConstantSchedule(10),
+                n_candidates=PowerGrowthSchedule(10, 0.0),
             )
 
     def test_epsilon_positive(self):

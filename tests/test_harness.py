@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from cvarsearch.benchmarks import BenchmarkLoss, BenchmarkSpec, l0_min_cvar_oracle
 from cvarsearch.engine import evaluate_candidates
@@ -18,6 +20,7 @@ from cvarsearch.harness import (
     run_replication,
     save_config,
 )
+from cvarsearch.schedule import inner_sample_size
 
 TINY = dict(
     benchmark="l0",
@@ -73,6 +76,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             tiny_config(**{key: value})
         assert "config key" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
+    )
+    def test_non_finite_float_names_key(self, key, tmp_path):
+        # caught at load, not mid-run
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({**dataclasses.asdict(tiny_config()), key: math.inf}))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert f"config key {key!r}: must be finite" in str(err.value)
 
     def test_powell_dim_floor(self):
         with pytest.raises(ConfigError) as err:
@@ -202,6 +216,16 @@ class TestReplications:
         assert r.final_best_cvar == r.record_values.min()
         np.testing.assert_array_equal(r.final_best_candidate, r.records[j].best_candidate)
         assert all(rec.alpha == 0.8 for rec in r.records)
+
+    def test_candidate_count_growth(self):
+        # iteration k draws ceil(N * max(k, 1)^0.5) candidates of m draws each
+        config = tiny_config(n_growth_exponent=0.5)
+        records = run_replication(config, 0).result.records
+        m = inner_sample_size(config.alpha_star, config.effective_size)
+        steps = np.diff([0] + [r.cumulative_loss_evals for r in records])
+        assert len(records) == config.max_iterations
+        assert steps.tolist() == [math.ceil(config.n_candidates * max(k, 1) ** 0.5) * m
+                                  for k in range(config.max_iterations)]
 
     def test_arl_algorithm_dispatch(self):
         config = tiny_config(algorithm="gass_cvar_arl", alpha_init=0.0)
