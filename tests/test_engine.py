@@ -129,6 +129,13 @@ class TestWeights:
 
 
 class TestMoments:
+    def test_weighted_mean_fixture(self):
+        # the loop's weighted statistic mean: normalized shape values
+        # applied to the candidates' (x, x^2) rows
+        w = normalized_weights(np.array([1.0, 3.0]))
+        s = sufficient_statistics(np.array([[1.0], [3.0]]))
+        np.testing.assert_array_equal(w @ s, np.array([2.5, 7.0]))
+
     def test_variance_two_point_fixture(self):
         np.testing.assert_array_equal(
             sample_variance_matrix(np.array([[0.0], [2.0]])), np.array([[2.0]])
