@@ -77,13 +77,13 @@ def _check_point(spec: BenchmarkSpec, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (spec.dim,):
         raise ValueError(f"x must have shape ({spec.dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("x must be finite")
     return arr
 
 
 def _l0(x: np.ndarray) -> float:
-    return float(np.sum(x * x))
+    return float((x * x).sum())
 
 
 def _powell(x: np.ndarray) -> float:
@@ -162,7 +162,12 @@ def simulate_loss(spec: BenchmarkSpec, x, m: int, rng: np.random.Generator) -> n
         raise ValueError("m must be >= 1")
     arr = _check_point(spec, x)
     base = _FUNCTIONS[spec.benchmark_id](arr)
-    return base + _noise_scale(spec, arr) * rng.standard_normal(m)
+    # in place, one allocation: the same product and sum per element as
+    # base + scale * draws
+    out = rng.standard_normal(m)
+    out *= _noise_scale(spec, arr)
+    out += base
+    return out
 
 
 @dataclass(frozen=True)

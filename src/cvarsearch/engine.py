@@ -94,7 +94,7 @@ _LOSS_REALM = 1
 _FINAL_REALM = 2
 
 # bytes of loss draws held at once (at least one row); the CVaR reduction
-# adds about three transients of this size
+# adds one transient of this size, the partition copy it forms the excess in
 _BLOCK_BYTES = 1 << 20
 
 

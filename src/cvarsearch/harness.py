@@ -64,7 +64,6 @@ __all__ = [
     "ReplicationOutcome",
     "ExperimentResult",
     "load_config",
-    "save_config",
     "run_experiment",
     "run_replication",
     "emit_csv",
@@ -237,13 +236,6 @@ def load_config(path) -> ExperimentConfig:
             stacklevel=2,
         )
     return config
-
-
-def save_config(config: ExperimentConfig, path):
-    """Write the config back out as YAML; load_config inverts this exactly."""
-    data = dataclasses.asdict(config)
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)
 
 
 def _projection_box(c: ExperimentConfig) -> ProjectionBox:

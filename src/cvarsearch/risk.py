@@ -39,17 +39,19 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _order_statistic(arr: np.ndarray, alpha: float) -> np.ndarray:
-    # the max(1, ceil(alpha M))-th ascending order statistic along the last
-    # axis, of already checked input
-    j = max(1, math.ceil(alpha * arr.shape[-1]))
-    return np.partition(arr, j - 1, axis=-1)[..., j - 1]
+def _partition(arr: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    # a copy of already checked input partitioned along the last axis about
+    # its max(1, ceil(alpha M))-th ascending order statistic, and that
+    # statistic's index
+    k = max(1, math.ceil(alpha * arr.shape[-1])) - 1
+    return np.partition(arr, k, axis=-1), k
 
 
 def empirical_var(losses, alpha: float):
     """Empirical VaR: the max(1, ceil(alpha M))-th ascending order statistic."""
     arr = _check_losses(losses)
-    out = _order_statistic(arr, _check_alpha(alpha))
+    part, k = _partition(arr, _check_alpha(alpha))
+    out = part[..., k]
     return float(out) if arr.ndim == 1 else out
 
 
@@ -67,8 +69,13 @@ def empirical_cvar(losses, alpha: float):
         out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
         return float(out) if arr.ndim == 1 else out
     m = arr.shape[-1]
-    v = _order_statistic(arr, alpha)
-    excess = np.clip(arr - v[..., None], 0.0, None)
+    part, k = _partition(arr, alpha)
+    v = part[..., k].copy()
+    # the excess of the caller's array, in its own order, written over the
+    # partition copy: the elementwise values and the summation order of
+    # max(arr - v, 0) without a temporary of the block's size
+    excess = np.subtract(arr, v[..., None], out=part)
+    np.maximum(excess, 0.0, out=excess)
     out = v + excess.sum(axis=-1) / (m * (1.0 - alpha))
     return float(out) if arr.ndim == 1 else out
 

@@ -18,7 +18,6 @@ from cvarsearch.harness import (
     load_config,
     run_experiment,
     run_replication,
-    save_config,
 )
 from cvarsearch.schedule import inner_sample_size
 
@@ -43,6 +42,12 @@ TINY = dict(
 
 def tiny_config(**overrides):
     return ExperimentConfig(**{**TINY, **overrides})
+
+
+def write_config(config: ExperimentConfig, path):
+    # every field as YAML, in declaration order, as a user would write it
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(dataclasses.asdict(config), fh, sort_keys=False)
 
 
 class TestConfigValidation:
@@ -103,7 +108,7 @@ class TestConfigFiles:
     def test_round_trip(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "exp.yaml"
-        save_config(config, path)
+        write_config(config, path)
         with pytest.warns(UserWarning):
             loaded = load_config(path)
         assert loaded == config
@@ -125,7 +130,7 @@ class TestConfigFiles:
     def test_wrong_type_named(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "exp.yaml"
-        save_config(config, path)
+        write_config(config, path)
         text = path.read_text().replace("dim: 2", "dim: two")
         path.write_text(text)
         with pytest.raises(ConfigError) as err:
@@ -135,7 +140,7 @@ class TestConfigFiles:
     def test_bool_is_not_an_integer(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "exp.yaml"
-        save_config(config, path)
+        write_config(config, path)
         text = path.read_text().replace("master_seed: 5", "master_seed: true")
         path.write_text(text)
         with pytest.raises(ConfigError) as err:
@@ -151,7 +156,7 @@ class TestConfigFiles:
     def test_growth_exponent_silences_warning(self, tmp_path, recwarn):
         config = tiny_config(n_growth_exponent=0.2)
         path = tmp_path / "exp.yaml"
-        save_config(config, path)
+        write_config(config, path)
         load_config(path)
         assert not [w for w in recwarn if "growth" in str(w.message)]
 
@@ -183,7 +188,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["desk_l0.yaml", "paper_full.yaml"])
     def test_round_trip_unchanged(self, name, tmp_path):
         config = load_config(CONFIGS / name)
-        save_config(config, tmp_path / name)
+        write_config(config, tmp_path / name)
         assert load_config(tmp_path / name) == config
 
 
@@ -371,6 +376,16 @@ class TestReference:
         # predates grad_norm_stop and n_growth_exponent joining the key
         assert emit_reference_run(self.search_config()) == pytest.approx(
             -9.500407312951703, rel=1e-9
+        )
+
+    def test_reference_value_pinned(self):
+        # pinned bit for bit: a change that moves this value moves cached
+        # reference values too, and those must stop being served
+        got = emit_reference_run(self.search_config()).hex()
+        assert got == "-0x1.3003563279d15p+3", (
+            f"the reference value moved ({got}): bump _REFERENCE_SCHEMA in "
+            "cvarsearch/harness.py so cached values from before the change miss, "
+            "then record the new value here"
         )
 
     @pytest.mark.parametrize("content", ['{"a": 1.5, "b"', "\x00\xff", "[1, 2]"])

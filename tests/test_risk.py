@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,20 @@ losses_1d = arrays(
     st.integers(1, 40),
     elements=st.floats(-1e6, 1e6, allow_nan=False, width=64),
 )
+
+
+def clip_cvar(losses, alpha):
+    """Reference CVaR reduction: np.clip over a fresh excess array."""
+    arr = np.asarray(losses, dtype=float)
+    if alpha == 0.0:
+        out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
+        return float(out) if arr.ndim == 1 else out
+    m = arr.shape[-1]
+    j = max(1, math.ceil(alpha * m))
+    v = np.partition(arr, j - 1, axis=-1)[..., j - 1]
+    excess = np.clip(arr - v[..., None], 0.0, None)
+    out = v + excess.sum(axis=-1) / (m * (1.0 - alpha))
+    return float(out) if arr.ndim == 1 else out
 
 
 class TestEmpiricalVar:
@@ -95,12 +111,51 @@ class TestEmpiricalCvar:
         rhs = a * empirical_cvar(x, alpha) + b
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-9 * (abs(b) + 1.0))
 
+    @pytest.mark.parametrize("m", [1, 2, 557, 5000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95, 0.99, "top"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_clip_reference(self, m, alpha, ties):
+        # "top" puts the VaR at the sample maximum: j = ceil(alpha m) = m
+        alpha = 1.0 - 0.5 / m if alpha == "top" else alpha
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((7, m)) * np.exp(rng.uniform(-3, 3, (7, m)))
+        if ties:
+            x = np.round(x, 1)
+        assert empirical_cvar(x[0], alpha) == clip_cvar(x[0], alpha)
+        assert np.array_equal(empirical_cvar(x, alpha), clip_cvar(x, alpha))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_input_untouched(self, alpha):
+        x = np.array([[3.0, 1.0, 2.0, 5.0], [-1.0, 4.0, 0.5, 2.0]])
+        before = x.copy()
+        empirical_cvar(x, alpha)
+        empirical_cvar(x[1], alpha)
+        np.testing.assert_array_equal(x, before)
+
     def test_single_seed_gaussian_consistency(self):
         rng = np.random.default_rng(12)
         draws = rng.standard_normal(100_000)
         for alpha, tol in [(0.9, 0.03), (0.95, 0.05), (0.99, 0.15)]:
             est = empirical_cvar(draws, alpha)
             assert abs(est - gaussian_cvar_oracle(0.0, 1.0, alpha)) <= tol
+
+
+@pytest.mark.parametrize("fn", [empirical_var, empirical_cvar])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+class TestNonFiniteRejected:
+    # a -inf below a finite VaR leaves VaR and CVaR finite, so only a check
+    # of the input catches it
+
+    def test_vector(self, fn, bad, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            fn(np.array([1.0, bad, 2.0, 3.0]), alpha)
+
+    def test_one_batch_row(self, fn, bad, alpha):
+        x = np.arange(12.0).reshape(3, 4)
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fn(x, alpha)
 
 
 class TestGaussianOracle:

@@ -1,0 +1,47 @@
+import numpy as np
+import pytest
+
+from cvarsearch.streams import generator, substream
+
+SeedSequence = np.random.SeedSequence
+
+ENTROPIES = [0, 7, 2**32, 2**64 + 5, 2**128 - 1, 2**160 + 3, None]
+PATHS = [(), (0,), (1, 2), (1, 5, 0, 7), (2**32, 3), (0, 2**64 + 1, 9)]
+
+
+def assert_same_stream(got, want):
+    np.testing.assert_array_equal(got.pool, want.pool)
+    np.testing.assert_array_equal(
+        generator(got).standard_normal(5), np.random.default_rng(want).standard_normal(5)
+    )
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES, ids=lambda e: "os" if e is None else hex(e))
+@pytest.mark.parametrize("path", PATHS, ids=str)
+def test_equals_numpy_spawn_key(entropy, path):
+    # None draws fresh OS entropy; the reference reuses the root's
+    root = SeedSequence(entropy)
+    want = SeedSequence(entropy=root.entropy, spawn_key=path)
+    assert_same_stream(substream(root, *path), want)
+    for cut in range(len(path) + 1):
+        assert_same_stream(substream(substream(root, *path[:cut]), *path[cut:]), want)
+    nested = root
+    for k in path:
+        nested = substream(nested, k)
+    assert_same_stream(nested, want)
+
+
+@pytest.mark.parametrize("path", PATHS, ids=str)
+def test_user_sequence_with_its_own_key(path):
+    for root in (SeedSequence(99, spawn_key=(3, 4)), SeedSequence([5, 2**40], spawn_key=(2,))):
+        want = SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + path)
+        assert_same_stream(substream(root, *path), want)
+
+
+def test_negative_key_rejected():
+    with pytest.raises(ValueError):
+        SeedSequence(entropy=5, spawn_key=(1, -1))
+    with pytest.raises(ValueError):
+        substream(SeedSequence(5), 1, -1)
+    with pytest.raises(ValueError):
+        substream(substream(SeedSequence(5), 1), -1)
