@@ -11,6 +11,10 @@ rosenbrock and levy, so the low-noise point never coincides with the
 noise-free minimizer and the tail objective genuinely trades off mean
 against dispersion.
 
+One benchmark at one dimension is a ``BenchmarkLoss(benchmark_id, dim)``:
+``simulate(x, m, rng)`` draws the noisy losses, ``deterministic(x)`` is
+L(x) and ``noise_scale(x)`` is the scale above.
+
 For l0 (the quadratic bowl) the per-point loss is exactly Gaussian, so the
 CVaR surface and its global minimum have closed or near-closed forms; the
 other functions serve as harder search targets without analytic optima.
@@ -28,58 +32,10 @@ from .risk import gaussian_cvar_oracle
 
 __all__ = [
     "BENCHMARK_IDS",
-    "BenchmarkSpec",
     "BenchmarkLoss",
-    "deterministic_loss",
-    "noise_scale",
-    "simulate_loss",
     "l0_cvar_oracle",
     "l0_min_cvar_oracle",
 ]
-
-BENCHMARK_IDS = ("l0", "powell", "rosenbrock", "rastrigin", "pinter", "levy")
-
-# noise centre per benchmark
-_NOISE_CENTRE = {
-    "l0": 1.0,
-    "powell": 1.0,
-    "rosenbrock": 2.0,
-    "rastrigin": 1.0,
-    "pinter": 1.0,
-    "levy": 2.0,
-}
-
-
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """A benchmark identifier plus problem dimension."""
-
-    benchmark_id: str
-    dim: int
-
-    def __post_init__(self):
-        if self.benchmark_id not in BENCHMARK_IDS:
-            raise ValueError(
-                f"unknown benchmark {self.benchmark_id!r}, expected one of {BENCHMARK_IDS}"
-            )
-        if int(self.dim) < 1:
-            raise ValueError("dim must be >= 1")
-        if self.benchmark_id == "powell" and int(self.dim) < 4:
-            raise ValueError("powell requires dim >= 4")
-        object.__setattr__(self, "dim", int(self.dim))
-
-    @property
-    def noise_centre(self) -> float:
-        return _NOISE_CENTRE[self.benchmark_id]
-
-
-def _check_point(spec: BenchmarkSpec, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (spec.dim,):
-        raise ValueError(f"x must have shape ({spec.dim},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("x must be finite")
-    return arr
 
 
 def _l0(x: np.ndarray) -> float:
@@ -130,74 +86,89 @@ def _levy(x: np.ndarray) -> float:
     return float(head + mid + tail)
 
 
-_FUNCTIONS = {
-    "l0": _l0,
-    "powell": _powell,
-    "rosenbrock": _rosenbrock,
-    "rastrigin": _rastrigin,
-    "pinter": _pinter,
-    "levy": _levy,
+# benchmark id -> (noise-free function, noise centre)
+_BENCHMARKS = {
+    "l0": (_l0, 1.0),
+    "powell": (_powell, 1.0),
+    "rosenbrock": (_rosenbrock, 2.0),
+    "rastrigin": (_rastrigin, 1.0),
+    "pinter": (_pinter, 1.0),
+    "levy": (_levy, 2.0),
 }
 
-
-def deterministic_loss(spec: BenchmarkSpec, x) -> float:
-    """Noise-free value of the benchmark at x."""
-    return _FUNCTIONS[spec.benchmark_id](_check_point(spec, x))
-
-
-def _noise_scale(spec: BenchmarkSpec, arr: np.ndarray) -> float:
-    diff = arr - spec.noise_centre
-    return math.sqrt(1.0 + 100.0 * float(diff @ diff))
-
-
-def noise_scale(spec: BenchmarkSpec, x) -> float:
-    """Noise standard deviation sqrt(1 + 100 ||x - centre||^2); always >= 1."""
-    return _noise_scale(spec, _check_point(spec, x))
-
-
-def simulate_loss(spec: BenchmarkSpec, x, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m independent noisy loss draws at x."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    arr = _check_point(spec, x)
-    base = _FUNCTIONS[spec.benchmark_id](arr)
-    # in place, one allocation: the same product and sum per element as
-    # base + scale * draws
-    out = rng.standard_normal(m)
-    out *= _noise_scale(spec, arr)
-    out += base
-    return out
+BENCHMARK_IDS = tuple(_BENCHMARKS)
 
 
 @dataclass(frozen=True)
 class BenchmarkLoss:
-    """Loss-model handle over a benchmark: the interface the engines consume.
+    """One benchmark at one dimension: the loss model the engines consume.
 
-    ``simulate(x, m, rng)`` draws m noisy losses at x.
+    The id and the dimension are checked on construction, every point on
+    entry to a method.
     """
 
-    spec: BenchmarkSpec
+    benchmark_id: str
+    dim: int
+
+    def __post_init__(self):
+        if self.benchmark_id not in BENCHMARK_IDS:
+            raise ValueError(
+                f"unknown benchmark {self.benchmark_id!r}, expected one of {BENCHMARK_IDS}"
+            )
+        if int(self.dim) < 1:
+            raise ValueError("dim must be >= 1")
+        if self.benchmark_id == "powell" and int(self.dim) < 4:
+            raise ValueError("powell requires dim >= 4")
+        object.__setattr__(self, "dim", int(self.dim))
+
+    def _point(self, x) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.dim,):
+            raise ValueError(f"x must have shape ({self.dim},), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("x must be finite")
+        return arr
+
+    def _scale(self, arr: np.ndarray) -> float:
+        diff = arr - _BENCHMARKS[self.benchmark_id][1]
+        return math.sqrt(1.0 + 100.0 * float(diff @ diff))
+
+    def deterministic(self, x) -> float:
+        """Noise-free value of the benchmark at x."""
+        return _BENCHMARKS[self.benchmark_id][0](self._point(x))
+
+    def noise_scale(self, x) -> float:
+        """Noise standard deviation sqrt(1 + 100 ||x - centre||^2); always >= 1."""
+        return self._scale(self._point(x))
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
-        return simulate_loss(self.spec, x, m, rng)
+        """m independent noisy loss draws at x."""
+        m = int(m)
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        arr = self._point(x)
+        base = _BENCHMARKS[self.benchmark_id][0](arr)
+        # in place, one allocation: the same product and sum per element as
+        # base + scale * draws
+        out = rng.standard_normal(m)
+        out *= self._scale(arr)
+        out += base
+        return out
 
 
-def l0_cvar_oracle(x, alpha: float, dim: int | None = None) -> float:
+def l0_cvar_oracle(x, alpha: float) -> float:
     """Exact CVaR of the noisy l0 loss at x.
 
     The loss at x is N(sum x^2, noise_scale(x)^2), so its CVaR is the
     Gaussian closed form.
     """
-    arr = np.asarray(x, dtype=float)
-    spec = BenchmarkSpec("l0", arr.size if dim is None else dim)
-    arr = _check_point(spec, arr)
-    return gaussian_cvar_oracle(_l0(arr), noise_scale(spec, arr), alpha)
+    loss = BenchmarkLoss("l0", np.size(x))
+    return gaussian_cvar_oracle(loss.deterministic(x), loss.noise_scale(x), alpha)
 
 
-def _l0_profile(t: float, dim: int, tail_const: float) -> float:
-    # CVaR along the symmetric ray x = t * ones
-    return dim * t * t + math.sqrt(1.0 + 100.0 * dim * (t - 1.0) ** 2) * tail_const
+def _l0_profile(t, dim: int, tail_const: float):
+    # CVaR along the symmetric ray x = t * ones; t a scalar or a grid
+    return dim * t * t + np.sqrt(1.0 + 100.0 * dim * (t - 1.0) ** 2) * tail_const
 
 
 def l0_min_cvar_oracle(dim: int, alpha: float) -> tuple[np.ndarray, float]:
@@ -215,7 +186,7 @@ def l0_min_cvar_oracle(dim: int, alpha: float) -> tuple[np.ndarray, float]:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     tail_const = gaussian_cvar_oracle(0.0, 1.0, alpha)
     grid = np.linspace(-0.5, 1.5, 100_001)
-    values = dim * grid * grid + np.sqrt(1.0 + 100.0 * dim * (grid - 1.0) ** 2) * tail_const
+    values = _l0_profile(grid, dim, tail_const)
     i = int(np.argmin(values))
     lo = grid[max(0, i - 1)]
     hi = grid[min(grid.size - 1, i + 1)]

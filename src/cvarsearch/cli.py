@@ -19,7 +19,7 @@ import dataclasses
 import sys
 
 from . import harness
-from .benchmarks import BENCHMARK_IDS, BenchmarkSpec, deterministic_loss, l0_cvar_oracle, l0_min_cvar_oracle, noise_scale
+from .benchmarks import BENCHMARK_IDS, BenchmarkLoss, l0_cvar_oracle, l0_min_cvar_oracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,9 +104,9 @@ def _cmd_benchmark(args) -> int:
             "config key 'alpha': CVaR oracle is only available for l0"
         )
     with _usage_errors():
-        spec = BenchmarkSpec(args.id, len(args.x))
-        lines = [f"deterministic_loss={deterministic_loss(spec, args.x)!r}",
-                 f"noise_scale={noise_scale(spec, args.x)!r}"]
+        loss = BenchmarkLoss(args.id, len(args.x))
+        lines = [f"deterministic_loss={loss.deterministic(args.x)!r}",
+                 f"noise_scale={loss.noise_scale(args.x)!r}"]
         if args.alpha is not None:
             lines.append(f"cvar_oracle={l0_cvar_oracle(args.x, args.alpha)!r}")
     print("\n".join(lines))

@@ -38,12 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .benchmarks import (
-    BENCHMARK_IDS,
-    BenchmarkLoss,
-    BenchmarkSpec,
-    l0_min_cvar_oracle,
-)
+from .benchmarks import BENCHMARK_IDS, BenchmarkLoss, l0_min_cvar_oracle
 from .engine import (
     GassConfig,
     PowerGrowthSchedule,
@@ -127,16 +122,17 @@ def _validate(c: ExperimentConfig):
     for f in dataclasses.fields(c):
         if f.type == "float" and not math.isfinite(getattr(c, f.name)):
             _fail(f.name, "must be finite")
-    if c.benchmark not in BENCHMARK_IDS:
-        _fail("benchmark", f"unknown benchmark {c.benchmark!r}, expected one of {BENCHMARK_IDS}")
-    if c.dim < 1:
-        _fail("dim", "must be >= 1")
-    if c.benchmark == "powell" and c.dim < 4:
-        _fail("dim", "powell requires dim >= 4")
+    try:
+        BenchmarkLoss(c.benchmark, c.dim)
+    except ValueError as exc:
+        _fail("benchmark" if c.benchmark not in BENCHMARK_IDS else "dim", str(exc))
     if c.algorithm not in ALGORITHMS:
         _fail("algorithm", f"expected one of {ALGORITHMS}")
     if not (0.0 <= c.alpha_star < 1.0):
         _fail("alpha_star", "must lie in [0, 1)")
+    if c.benchmark == "l0" and c.alpha_star == 0.0:
+        _fail("alpha_star", "the l0 reference optimum at level 0 is 0, and the ratio "
+              "curves would divide by a zero reference")
     if not (0.0 <= c.alpha_init <= c.alpha_star):
         _fail("alpha_init", "must lie in [0, alpha_star]")
     if c.effective_size < 2:
@@ -287,7 +283,7 @@ def run_replication(config: ExperimentConfig, rep: int) -> ReplicationOutcome:
     rng_init = generator(substream(rep_seq, 0))
     mean0 = rng_init.uniform(config.mean_init_lo, config.mean_init_hi, config.dim)
     gcfg = _gass_config(config, mean0)
-    loss = BenchmarkLoss(BenchmarkSpec(config.benchmark, config.dim))
+    loss = BenchmarkLoss(config.benchmark, config.dim)
     # fixed-level GASS-CVaR is the ramp started at its target
     alpha_init = config.alpha_star if config.algorithm == "gass_cvar" else config.alpha_init
     result = run_gass_cvar_arl(
@@ -459,8 +455,12 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     if cache_dir is not None:
         cache_path = os.path.join(cache_dir, "reference_cache.json")
         cached = _read_cache(cache_path).get(key)
-        if isinstance(cached, float):
+        if isinstance(cached, float) and math.isfinite(cached):
             return cached
+        if cached is not None:
+            # json reads NaN and Infinity as floats; recompute and replace
+            logger.warning("ignoring cached reference value %r in %s: not a finite float",
+                           cached, cache_path)
     seed_key = _fields_hash(config, _REFERENCE_SEED_FIELDS)
     ref_seed = substream(np.random.SeedSequence(int(seed_key[:16], 16)), 0)
     mean0 = generator(substream(ref_seed, 0)).uniform(
@@ -473,7 +473,7 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
         replications=1,
     )
     gcfg = _gass_config(ref_cfg, mean0)
-    loss = BenchmarkLoss(BenchmarkSpec(config.benchmark, config.dim))
+    loss = BenchmarkLoss(config.benchmark, config.dim)
     result = run_gass_cvar(
         gcfg, loss, config.alpha_star, config.reference_inner_budget,
         substream(ref_seed, 1),

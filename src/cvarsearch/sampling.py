@@ -97,18 +97,6 @@ class ProjectionBox:
     def dim(self) -> int:
         return self.mean_lo.size
 
-    @classmethod
-    def symmetric(cls, dim: int, mean_bound: float, var_hi: float,
-                  var_lo: float = 1e-6) -> "ProjectionBox":
-        """Box [-mean_bound, mean_bound] x [var_lo, var_hi] in every coordinate."""
-        d = int(dim)
-        return cls(
-            mean_lo=np.full(d, -float(mean_bound)),
-            mean_hi=np.full(d, float(mean_bound)),
-            var_lo=np.full(d, float(var_lo)),
-            var_hi=np.full(d, float(var_hi)),
-        )
-
 
 def sufficient_statistics(x) -> np.ndarray:
     """Statistic vector (x, x^2) of length 2 D.

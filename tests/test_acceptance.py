@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvarsearch.benchmarks import (
-    BenchmarkLoss,
-    BenchmarkSpec,
-    deterministic_loss,
-    l0_min_cvar_oracle,
-    noise_scale,
-)
+from cvarsearch.benchmarks import BenchmarkLoss, l0_min_cvar_oracle
 from cvarsearch.engine import (
     GRAD_THRESHOLD,
     PowerLawStepSize,
@@ -142,30 +136,30 @@ def test_criterion_2_formula_fixtures():
 
     exact(
         "rastrigin origin offset",
-        deterministic_loss(BenchmarkSpec("rastrigin", 10), np.zeros(10)),
+        BenchmarkLoss("rastrigin", 10).deterministic(np.zeros(10)),
         -201.0,
     )
-    exact("l0 origin", deterministic_loss(BenchmarkSpec("l0", 3), np.zeros(3)), 0.0)
-    exact("powell ones", deterministic_loss(BenchmarkSpec("powell", 4), np.ones(4)), 122.0)
+    exact("l0 origin", BenchmarkLoss("l0", 3).deterministic(np.zeros(3)), 0.0)
+    exact("powell ones", BenchmarkLoss("powell", 4).deterministic(np.ones(4)), 122.0)
     exact(
         "rosenbrock halves",
-        deterministic_loss(BenchmarkSpec("rosenbrock", 2), np.array([0.5, 0.5])),
+        BenchmarkLoss("rosenbrock", 2).deterministic(np.array([0.5, 0.5])),
         6.5,
     )
-    exact("pinter origin", deterministic_loss(BenchmarkSpec("pinter", 3), np.zeros(3)), 0.0)
-    exact("noise scale", noise_scale(BenchmarkSpec("l0", 1), np.zeros(1)), math.sqrt(101.0))
+    exact("pinter origin", BenchmarkLoss("pinter", 3).deterministic(np.zeros(3)), 0.0)
+    exact("noise scale", BenchmarkLoss("l0", 1).noise_scale(np.zeros(1)), math.sqrt(101.0))
 
     # transcendental-valued points: exact at the correctly-rounded-libm level
     close(
         "pinter ones",
-        deterministic_loss(BenchmarkSpec("pinter", 4), np.ones(4)),
+        BenchmarkLoss("pinter", 4).deterministic(np.ones(4)),
         102.18677808316033,
         1e-13,
     )
     checks.append(
         (
             "levy noise-free optimum",
-            abs(deterministic_loss(BenchmarkSpec("levy", 5), np.ones(5))) < 1e-12,
+            abs(BenchmarkLoss("levy", 5).deterministic(np.ones(5))) < 1e-12,
             None,
             None,
         )

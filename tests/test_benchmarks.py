@@ -13,12 +13,8 @@ import pytest
 from cvarsearch.benchmarks import (
     BENCHMARK_IDS,
     BenchmarkLoss,
-    BenchmarkSpec,
-    deterministic_loss,
     l0_cvar_oracle,
     l0_min_cvar_oracle,
-    noise_scale,
-    simulate_loss,
 )
 from cvarsearch.risk import gaussian_cvar_oracle
 
@@ -80,6 +76,12 @@ REFS = {
 }
 
 MIN_DIM = {"powell": 4}
+NOISE_CENTRE = {"l0": 1.0, "powell": 1.0, "rosenbrock": 2.0, "rastrigin": 1.0,
+                "pinter": 1.0, "levy": 2.0}
+
+
+def loss_value(benchmark_id, x):
+    return BenchmarkLoss(benchmark_id, len(x)).deterministic(x)
 
 
 @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
@@ -88,8 +90,7 @@ def test_matches_reference_on_random_points(benchmark_id):
     for _ in range(100):
         dim = int(rng.integers(MIN_DIM.get(benchmark_id, 1), 12))
         x = rng.uniform(-5.0, 5.0, size=dim)
-        spec = BenchmarkSpec(benchmark_id, dim)
-        got = deterministic_loss(spec, x)
+        got = BenchmarkLoss(benchmark_id, dim).deterministic(x)
         want = REFS[benchmark_id](list(x))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
@@ -97,127 +98,127 @@ def test_matches_reference_on_random_points(benchmark_id):
 class TestFrozenValues:
     # dyadic inputs keep the arithmetic exact end to end
     def test_l0(self):
-        assert deterministic_loss(BenchmarkSpec("l0", 3), np.zeros(3)) == 0.0
-        assert deterministic_loss(BenchmarkSpec("l0", 2), np.array([1.5, -2.0])) == 6.25
+        assert loss_value("l0", np.zeros(3)) == 0.0
+        assert loss_value("l0", np.array([1.5, -2.0])) == 6.25
 
     def test_powell(self):
-        spec = BenchmarkSpec("powell", 4)
-        assert deterministic_loss(spec, np.ones(4)) == 122.0
-        assert deterministic_loss(spec, np.array([1.0, 2.0, 3.0, 4.0])) == 1512.0
-        spec5 = BenchmarkSpec("powell", 5)
-        assert deterministic_loss(spec5, np.array([0.5, -1.0, 2.0, 0.0, 1.0])) == 1277.875
+        assert loss_value("powell", np.ones(4)) == 122.0
+        assert loss_value("powell", np.array([1.0, 2.0, 3.0, 4.0])) == 1512.0
+        assert loss_value("powell", np.array([0.5, -1.0, 2.0, 0.0, 1.0])) == 1277.875
 
     def test_rosenbrock(self):
-        assert deterministic_loss(BenchmarkSpec("rosenbrock", 3), np.zeros(3)) == 2.0
-        assert deterministic_loss(BenchmarkSpec("rosenbrock", 3), np.ones(3)) == 0.0
-        assert deterministic_loss(BenchmarkSpec("rosenbrock", 2), np.array([0.5, 0.5])) == 6.5
-        assert (
-            deterministic_loss(BenchmarkSpec("rosenbrock", 3), np.array([-1.0, 2.0, 0.5]))
-            == 1330.0
-        )
+        assert loss_value("rosenbrock", np.zeros(3)) == 2.0
+        assert loss_value("rosenbrock", np.ones(3)) == 0.0
+        assert loss_value("rosenbrock", np.array([0.5, 0.5])) == 6.5
+        assert loss_value("rosenbrock", np.array([-1.0, 2.0, 0.5])) == 1330.0
 
     def test_rastrigin(self):
-        assert deterministic_loss(BenchmarkSpec("rastrigin", 10), np.zeros(10)) == -201.0
-        assert deterministic_loss(BenchmarkSpec("rastrigin", 2), np.array([0.5, 0.5])) == -0.5
-        got = deterministic_loss(BenchmarkSpec("rastrigin", 2), np.array([0.25, -0.75]))
+        assert loss_value("rastrigin", np.zeros(10)) == -201.0
+        assert loss_value("rastrigin", np.array([0.5, 0.5])) == -0.5
+        got = loss_value("rastrigin", np.array([0.25, -0.75]))
         assert got == pytest.approx(-20.375, rel=1e-13)
 
     def test_pinter(self):
-        assert deterministic_loss(BenchmarkSpec("pinter", 3), np.zeros(3)) == 0.0
-        got = deterministic_loss(BenchmarkSpec("pinter", 4), np.ones(4))
+        assert loss_value("pinter", np.zeros(3)) == 0.0
+        got = loss_value("pinter", np.ones(4))
         assert got == pytest.approx(102.18677808316033, rel=1e-13)
-        got = deterministic_loss(BenchmarkSpec("pinter", 3), np.array([0.5, -0.5, 1.5]))
+        got = loss_value("pinter", np.array([0.5, -0.5, 1.5]))
         assert got == pytest.approx(108.9203301985445, rel=1e-13)
 
     def test_levy(self):
-        assert abs(deterministic_loss(BenchmarkSpec("levy", 5), np.ones(5))) < 1e-12
-        got = deterministic_loss(BenchmarkSpec("levy", 3), np.zeros(3))
+        assert abs(loss_value("levy", np.ones(5))) < 1e-12
+        got = loss_value("levy", np.zeros(3))
         assert got == pytest.approx(-1.369189108233949, rel=1e-13)
-        got = deterministic_loss(BenchmarkSpec("levy", 2), np.array([2.0, -1.0]))
+        got = loss_value("levy", np.array([2.0, -1.0]))
         assert got == pytest.approx(-1.4091554458830253, rel=1e-13)
 
 
 class TestSpecValidation:
     def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            BenchmarkSpec("sphere", 3)
+        with pytest.raises(ValueError, match="unknown benchmark"):
+            BenchmarkLoss("sphere", 3)
 
     def test_powell_needs_four(self):
-        with pytest.raises(ValueError):
-            BenchmarkSpec("powell", 3)
-        BenchmarkSpec("powell", 4)
+        with pytest.raises(ValueError, match="powell requires dim >= 4"):
+            BenchmarkLoss("powell", 3)
+        BenchmarkLoss("powell", 4)
 
     def test_dim_positive(self):
-        with pytest.raises(ValueError):
-            BenchmarkSpec("l0", 0)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            BenchmarkLoss("l0", 0)
 
     def test_point_dim_checked(self):
-        with pytest.raises(ValueError):
-            deterministic_loss(BenchmarkSpec("l0", 3), np.zeros(2))
-        with pytest.raises(ValueError):
-            simulate_loss(BenchmarkSpec("l0", 3), np.zeros(2), 5, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            simulate_loss(BenchmarkSpec("l0", 2), np.array([0.0, np.nan]), 5,
-                          np.random.default_rng(0))
+        loss = BenchmarkLoss("l0", 3)
+        rng = np.random.default_rng(0)
+        for bad in (np.zeros(2), np.zeros((1, 3)), np.array([0.0, np.nan, 0.0]),
+                    np.array([0.0, 0.0, np.inf])):
+            with pytest.raises(ValueError, match="x must"):
+                loss.deterministic(bad)
+            with pytest.raises(ValueError, match="x must"):
+                loss.noise_scale(bad)
+            with pytest.raises(ValueError, match="x must"):
+                loss.simulate(bad, 5, rng)
 
 
 class TestNoise:
     def test_centre_assignment(self):
-        assert BenchmarkSpec("l0", 2).noise_centre == 1.0
-        assert BenchmarkSpec("powell", 4).noise_centre == 1.0
-        assert BenchmarkSpec("rastrigin", 2).noise_centre == 1.0
-        assert BenchmarkSpec("pinter", 2).noise_centre == 1.0
-        assert BenchmarkSpec("rosenbrock", 2).noise_centre == 2.0
-        assert BenchmarkSpec("levy", 2).noise_centre == 2.0
+        for benchmark_id, centre in NOISE_CENTRE.items():
+            dim = MIN_DIM.get(benchmark_id, 2)
+            loss = BenchmarkLoss(benchmark_id, dim)
+            assert loss.noise_scale(np.full(dim, centre)) == 1.0
+            assert loss.noise_scale(np.full(dim, centre + 0.1)) > 1.0
 
     def test_scale_one_at_centre(self):
-        assert noise_scale(BenchmarkSpec("l0", 5), np.ones(5)) == 1.0
-        assert noise_scale(BenchmarkSpec("levy", 3), np.full(3, 2.0)) == 1.0
+        assert BenchmarkLoss("l0", 5).noise_scale(np.ones(5)) == 1.0
+        assert BenchmarkLoss("levy", 3).noise_scale(np.full(3, 2.0)) == 1.0
 
     def test_scale_value(self):
         # sqrt is correctly rounded, so this is a single representable value
-        assert noise_scale(BenchmarkSpec("l0", 1), np.zeros(1)) == math.sqrt(101.0)
-        assert noise_scale(BenchmarkSpec("l0", 1), np.zeros(1)) == pytest.approx(
+        assert BenchmarkLoss("l0", 1).noise_scale(np.zeros(1)) == math.sqrt(101.0)
+        assert BenchmarkLoss("l0", 1).noise_scale(np.zeros(1)) == pytest.approx(
             10.04987562112089, rel=1e-14
         )
 
     def test_scale_floor(self):
         rng = np.random.default_rng(7)
+        loss = BenchmarkLoss("rosenbrock", 4)
         for _ in range(200):
-            x = rng.uniform(-10, 10, size=4)
-            assert noise_scale(BenchmarkSpec("rosenbrock", 4), x) >= 1.0
+            assert loss.noise_scale(rng.uniform(-10, 10, size=4)) >= 1.0
 
     def test_simulate_moments(self):
-        spec = BenchmarkSpec("l0", 2)
+        loss = BenchmarkLoss("l0", 2)
         x = np.array([0.5, -0.5])
-        draws = simulate_loss(spec, x, 400_000, np.random.default_rng(21))
-        base = deterministic_loss(spec, x)
-        sd = noise_scale(spec, x)
+        draws = loss.simulate(x, 400_000, np.random.default_rng(21))
+        base = loss.deterministic(x)
+        sd = loss.noise_scale(x)
         assert abs(draws.mean() - base) < 5 * sd / math.sqrt(400_000)
         assert abs(draws.std(ddof=1) - sd) < 0.01 * sd
 
     def test_simulate_deterministic_given_stream(self):
-        spec = BenchmarkSpec("rastrigin", 3)
+        loss = BenchmarkLoss("rastrigin", 3)
         x = np.array([1.0, 2.0, 3.0])
-        a = simulate_loss(spec, x, 50, np.random.default_rng(3))
-        b = simulate_loss(spec, x, 50, np.random.default_rng(3))
+        a = loss.simulate(x, 50, np.random.default_rng(3))
+        b = loss.simulate(x, 50, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
-    def test_simulate_is_location_scale_draw(self):
-        spec = BenchmarkSpec("rosenbrock", 3)
-        x = np.array([0.5, 1.5, -1.0])
-        want = deterministic_loss(spec, x) + noise_scale(spec, x) * (
+    @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+    def test_simulate_is_location_scale_draw(self, benchmark_id):
+        dim = MIN_DIM.get(benchmark_id, 3)
+        loss = BenchmarkLoss(benchmark_id, dim)
+        x = np.linspace(-1.0, 1.5, dim)
+        want = loss.deterministic(x) + loss.noise_scale(x) * (
             np.random.default_rng(9).standard_normal(600)
         )
-        assert np.array_equal(simulate_loss(spec, x, 600, np.random.default_rng(9)), want)
+        assert np.array_equal(loss.simulate(x, 600, np.random.default_rng(9)), want)
 
 
 class TestLossHandle:
-    def test_wraps_spec(self):
-        loss = BenchmarkLoss(BenchmarkSpec("powell", 4))
-        x = np.ones(4)
-        draws = loss.simulate(x, 10, np.random.default_rng(0))
+    def test_simulate_returns_m_draws(self):
+        loss = BenchmarkLoss("powell", 4)
+        draws = loss.simulate(np.ones(4), 10, np.random.default_rng(0))
         assert draws.shape == (10,)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            loss.simulate(np.ones(4), 0, np.random.default_rng(0))
 
 
 class TestQuadraticOracles:
@@ -229,14 +230,12 @@ class TestQuadraticOracles:
 
     def test_cvar_alpha_zero_is_deterministic_loss(self):
         x = np.array([0.3, -1.2, 0.7])
-        assert l0_cvar_oracle(x, 0.0) == deterministic_loss(BenchmarkSpec("l0", 3), x)
+        assert l0_cvar_oracle(x, 0.0) == loss_value("l0", x)
 
     def test_cvar_agrees_with_gaussian_form(self):
         x = np.array([0.5, 1.5])
-        spec = BenchmarkSpec("l0", 2)
-        want = gaussian_cvar_oracle(
-            deterministic_loss(spec, x), noise_scale(spec, x), 0.95
-        )
+        loss = BenchmarkLoss("l0", 2)
+        want = gaussian_cvar_oracle(loss.deterministic(x), loss.noise_scale(x), 0.95)
         assert l0_cvar_oracle(x, 0.95) == pytest.approx(want, rel=1e-14)
 
     def test_min_frozen_values(self):

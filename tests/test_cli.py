@@ -40,6 +40,14 @@ def test_benchmark_point(capsys):
     assert "noise_scale=1.0" in out
 
 
+def test_benchmark_pinter_point(capsys):
+    assert main(["benchmark", "pinter", "0.5", "-0.5", "1.5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "deterministic_loss=108.9203301985445",
+        "noise_scale=16.61324772583615",
+    ]
+
+
 def test_benchmark_with_oracle(capsys):
     assert main(["benchmark", "l0", "0", "0", "--alpha", "0.9"]) == 0
     assert "cvar_oracle=" in capsys.readouterr().out
@@ -92,6 +100,14 @@ def test_run_bad_config(tmp_path, capsys):
     config = write_config(tmp_path, alpha_star=2.0)
     assert main(["run", str(config)]) == 2
     assert "alpha_star" in capsys.readouterr().err
+
+
+def test_run_l0_alpha_star_zero_is_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, alpha_star=0.0)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out_dir)]) == 2
+    assert "'alpha_star'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_run_non_finite_float_is_exit_2(tmp_path, capsys):

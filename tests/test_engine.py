@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvarsearch import engine
-from cvarsearch.benchmarks import BenchmarkLoss, BenchmarkSpec
+from cvarsearch.benchmarks import BenchmarkLoss
 from cvarsearch.engine import (
     GRAD_THRESHOLD,
     MAX_ITERATIONS,
@@ -37,6 +37,16 @@ from cvarsearch.shaping import ShapeConfig, sample_quantile_threshold, shape
 from cvarsearch.streams import as_seed_sequence, generator, substream
 
 
+def symmetric_box(dim, mean_bound, var_hi, var_lo=1e-6):
+    """Box [-mean_bound, mean_bound] x [var_lo, var_hi] in every coordinate."""
+    return ProjectionBox(
+        mean_lo=np.full(dim, -float(mean_bound)),
+        mean_hi=np.full(dim, float(mean_bound)),
+        var_lo=np.full(dim, float(var_lo)),
+        var_hi=np.full(dim, float(var_hi)),
+    )
+
+
 class NoiselessLoss:
     """Deterministic quadratic bowl pretending to be a simulator."""
 
@@ -49,7 +59,7 @@ def small_config(dim=2, **overrides):
         init_params=SamplingParams(
             mean=np.full(dim, 3.0), variance=np.full(dim, 4.0)
         ),
-        box=ProjectionBox.symmetric(dim, mean_bound=10.0, var_hi=10.0, var_lo=1e-4),
+        box=symmetric_box(dim, mean_bound=10.0, var_hi=10.0, var_lo=1e-4),
         shape=ShapeConfig(s_o=1e5, rho=0.1),
         step_size=PowerLawStepSize(2.0, 10.0, 0.6),
         n_candidates=PowerGrowthSchedule(50, 0.0),
@@ -260,7 +270,7 @@ class TestNewtonStep:
 
 
 class TestNewtonUpdate:
-    BOX = ProjectionBox.symmetric(1, mean_bound=5.0, var_hi=8.0, var_lo=0.1)
+    BOX = symmetric_box(1, mean_bound=5.0, var_hi=8.0, var_lo=0.1)
 
     def update(self, grad):
         theta = to_natural(SamplingParams(mean=np.zeros(1), variance=np.ones(1)))
@@ -279,7 +289,7 @@ class TestNewtonUpdate:
 
 
 class TestEvaluateCandidates:
-    LOSS = BenchmarkLoss(BenchmarkSpec("l0", 2))
+    LOSS = BenchmarkLoss("l0", 2)
 
     def test_repeatable(self):
         cands = [np.array([0.0, 0.0]), np.array([1.0, 1.0])]
@@ -337,7 +347,7 @@ class RecordingLoss:
     """Benchmark loss that remembers every point it simulated."""
 
     def __init__(self, dim):
-        self.inner = BenchmarkLoss(BenchmarkSpec("l0", dim))
+        self.inner = BenchmarkLoss("l0", dim)
         self.points = []
 
     def simulate(self, x, m, rng):
@@ -346,7 +356,7 @@ class RecordingLoss:
 
 
 class TestBlockedEvaluation:
-    LOSS = BenchmarkLoss(BenchmarkSpec("l0", 2))
+    LOSS = BenchmarkLoss("l0", 2)
 
     @pytest.mark.parametrize("n,m", BLOCK_CASES)
     @pytest.mark.parametrize("alpha", [0.0, 0.95])
@@ -383,7 +393,7 @@ class TestBlockedEvaluation:
 
 
 class TestFixedLevelRun:
-    LOSS = BenchmarkLoss(BenchmarkSpec("l0", 2))
+    LOSS = BenchmarkLoss("l0", 2)
 
     def test_deterministic_given_seed(self):
         config = small_config(max_iterations=5)
@@ -504,7 +514,7 @@ class TestEntryChecks:
 
 
 class TestRampedRun:
-    LOSS = BenchmarkLoss(BenchmarkSpec("l0", 2))
+    LOSS = BenchmarkLoss("l0", 2)
 
     def test_alpha_trajectory_monotone_bounded(self):
         config = small_config(max_iterations=30)
@@ -577,7 +587,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GassConfig(
                 init_params=SamplingParams(mean=np.zeros(2), variance=np.ones(2)),
-                box=ProjectionBox.symmetric(3, mean_bound=1.0, var_hi=1.0),
+                box=symmetric_box(3, mean_bound=1.0, var_hi=1.0),
                 shape=ShapeConfig(s_o=1.0, rho=0.5),
                 step_size=PowerLawStepSize(1.0, 1.0, 0.6),
                 n_candidates=PowerGrowthSchedule(10, 0.0),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cvarsearch.benchmarks import BenchmarkLoss, BenchmarkSpec, l0_min_cvar_oracle
+from cvarsearch.benchmarks import BenchmarkLoss, l0_min_cvar_oracle
 from cvarsearch.engine import evaluate_candidates
 from cvarsearch.harness import (
     ConfigError,
@@ -97,6 +97,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             tiny_config(benchmark="powell", dim=3)
         assert "dim" in str(err.value)
+
+    def test_l0_alpha_star_zero_rejected(self):
+        # the l0 reference optimum at level 0 is exactly 0, the ratio divisor
+        with pytest.raises(ConfigError) as err:
+            tiny_config(alpha_star=0.0)
+        assert "config key 'alpha_star'" in str(err.value)
+        assert "zero reference" in str(err.value)
+        tiny_config(benchmark="rastrigin", alpha_star=0.0)
 
     def test_alpha_init_respects_target(self):
         tiny_config(algorithm="gass_cvar_arl", alpha_init=0.8)
@@ -293,7 +301,7 @@ class TestBudgetToThreshold:
 class TestEvaluateFinal:
     def test_picks_lower_tail_candidate(self):
         # at the 0.99 level the noise-centre point beats the origin
-        loss = BenchmarkLoss(BenchmarkSpec("l0", 10))
+        loss = BenchmarkLoss("l0", 10)
         cands = [np.zeros(10), np.ones(10)]
         values = evaluate_candidates(loss, cands, 0.99, 100_000, 123)
         j = int(np.argmin(values))
@@ -401,6 +409,20 @@ class TestReference:
         cache = json.loads(cache_path.read_text())
         assert list(cache.values()) == [want]
         assert [p.name for p in tmp_path.iterdir()] == ["reference_cache.json"]
+
+    @pytest.mark.parametrize("stored", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cached_value_is_a_miss(self, stored, tmp_path, caplog):
+        # damage the entry under the key the run itself wrote
+        config = self.search_config()
+        want = emit_reference_run(config, cache_dir=tmp_path)
+        cache_path = tmp_path / "reference_cache.json"
+        (key,) = json.loads(cache_path.read_text())
+        cache_path.write_text(f'{{"{key}": {stored}}}')
+        with caplog.at_level("WARNING", logger="cvarsearch.harness"):
+            got = emit_reference_run(config, cache_dir=tmp_path)
+        assert got == want
+        assert "not a finite float" in caplog.text
+        assert json.loads(cache_path.read_text()) == {key: want}
 
     def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
         config = self.search_config()

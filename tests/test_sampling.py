@@ -18,6 +18,16 @@ def params(mean, var):
     return SamplingParams(mean=np.asarray(mean, float), variance=np.asarray(var, float))
 
 
+def symmetric_box(dim, mean_bound, var_hi, var_lo=1e-6):
+    """Box [-mean_bound, mean_bound] x [var_lo, var_hi] in every coordinate."""
+    return ProjectionBox(
+        mean_lo=np.full(dim, -float(mean_bound)),
+        mean_hi=np.full(dim, float(mean_bound)),
+        var_lo=np.full(dim, float(var_lo)),
+        var_hi=np.full(dim, float(var_hi)),
+    )
+
+
 # keep magnitudes in normal float range; the relative round-trip contract
 # has nothing to say about subnormal underflow
 finite_means = st.floats(-1e6, 1e6, allow_nan=False).filter(
@@ -121,7 +131,7 @@ class TestNaturalView:
         d = min(len(mean), len(var))
         p = params(mean[:d], var[:d])
         # a box wide enough that no point the strategies draw is clamped
-        wide = ProjectionBox.symmetric(d, mean_bound=1e7, var_hi=1e9, var_lo=1e-9)
+        wide = symmetric_box(d, mean_bound=1e7, var_hi=1e9, var_lo=1e-9)
         q = _project_raw_natural(to_natural(p), wide)
         np.testing.assert_allclose(q.mean, p.mean, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(q.variance, p.variance, rtol=1e-12)
