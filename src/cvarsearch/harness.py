@@ -12,7 +12,8 @@ Outputs per experiment:
 * ``curve.csv``       aggregate best-value-so-far ratio curve against
   cumulative search evaluations (mean and 10/90 percent quantiles across
   replications), the ratio being best fresh target-level CVaR divided by
-  the reference optimum;
+  the reference optimum, or 1 + (best - ref) / |ref| for a negative
+  reference, so that 1 is the optimum and above 1 is worse on either sign;
 * ``alpha.csv``       mean risk-level trajectory per iteration;
 * ``summary.json``    per-replication digests plus totals and the echoed
   config.
@@ -48,8 +49,7 @@ from .engine import (
     run_gass_cvar_arl,
 )
 from .sampling import ProjectionBox, SamplingParams
-from .schedule import RiskSchedule
-from .schedule import inner_sample_size  # noqa: F401  unused; perfbench/tracing.py wraps it by name
+from .schedule import RiskSchedule, inner_sample_size
 from .shaping import ShapeConfig
 from .streams import as_seed_sequence, generator, substream
 
@@ -118,76 +118,74 @@ def _fail(key: str, detail: str):
     raise ConfigError(f"config key {key!r}: {detail}")
 
 
+@contextlib.contextmanager
+def _keys(*keys):
+    """Report a ValueError raised by an engine object as a ConfigError naming
+    the config keys the object was built from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config key {', '.join(map(repr, keys))}: {exc}") from exc
+
+
+# field annotation -> accepted types and their name in an error
+_KINDS = {"str": (str, "a string"), "int": (int, "an integer"),
+          "float": ((int, float), "a number")}
+
+
 def _validate(c: ExperimentConfig):
+    """Check types, then the rules no engine object owns; every other rule is
+    checked by building the engine objects a run builds from the config."""
     for f in dataclasses.fields(c):
-        if f.type == "float" and not math.isfinite(getattr(c, f.name)):
-            _fail(f.name, "must be finite")
+        value = getattr(c, f.name)
+        types, expected = _KINDS[f.type]
+        if isinstance(value, bool) or not isinstance(value, types):
+            _fail(f.name, f"expected {expected} (got {value!r})")
+        if f.type == "float":
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            object.__setattr__(c, f.name, value)
+            if not math.isfinite(value):
+                _fail(f.name, "must be finite")
     try:
         BenchmarkLoss(c.benchmark, c.dim)
     except ValueError as exc:
         _fail("benchmark" if c.benchmark not in BENCHMARK_IDS else "dim", str(exc))
     if c.algorithm not in ALGORITHMS:
         _fail("algorithm", f"expected one of {ALGORITHMS}")
-    if not (0.0 <= c.alpha_star < 1.0):
-        _fail("alpha_star", "must lie in [0, 1)")
+    with _keys("alpha_init", "alpha_star"):
+        RiskSchedule.start(c.alpha_init, c.alpha_star)
     if c.benchmark == "l0" and c.alpha_star == 0.0:
         _fail("alpha_star", "the l0 reference optimum at level 0 is 0, and the ratio "
               "curves would divide by a zero reference")
-    if not (0.0 <= c.alpha_init <= c.alpha_star):
-        _fail("alpha_init", "must lie in [0, alpha_star]")
-    if c.effective_size < 2:
-        _fail("effective_size", "must be >= 2")
-    if c.n_candidates < 2:
-        _fail("n_candidates", "must be >= 2")
-    if c.n_growth_exponent < 0:
-        _fail("n_growth_exponent", "must be >= 0")
-    if not c.s_o > 0:
-        _fail("s_o", "must be > 0")
-    if not (0.0 < c.rho <= 1.0):
-        _fail("rho", "must lie in (0, 1]")
-    if not c.epsilon > 0:
-        _fail("epsilon", "must be > 0")
-    if not (c.step_a > 0):
-        _fail("step_a", "must be > 0")
-    if not (c.step_b > 0):
-        _fail("step_b", "must be > 0")
-    if not (0.5 < c.step_gamma <= 1.0):
-        _fail("step_gamma", "must lie in (0.5, 1]")
+    with _keys("alpha_star", "effective_size"):
+        inner_sample_size(c.alpha_star, c.effective_size)
     if c.mean_init_lo > c.mean_init_hi:
         _fail("mean_init_lo", "must be <= mean_init_hi")
-    if c.mean_box_lo > c.mean_box_hi:
-        _fail("mean_box_lo", "must be <= mean_box_hi")
+    mean0 = np.full(c.dim, c.mean_init_lo)
+    _gass_config(c, mean0)
+    _gass_config(c, mean0, "reference_n_candidates", "reference_max_iterations")
     if not (c.mean_box_lo <= c.mean_init_lo and c.mean_init_hi <= c.mean_box_hi):
         _fail("mean_init_lo", "initial-mean range must lie inside the mean box")
-    if not c.var_box_lo > 0:
-        _fail("var_box_lo", "must be > 0")
-    if c.var_box_lo > c.var_box_hi:
-        _fail("var_box_lo", "must be <= var_box_hi")
     if not (c.var_box_lo <= c.var_init <= c.var_box_hi):
         _fail("var_init", "must lie inside the variance box")
-    if c.max_iterations < 1:
-        _fail("max_iterations", "must be >= 1")
     if c.replications < 1:
         _fail("replications", "must be >= 1")
     if c.master_seed < 0:
         _fail("master_seed", "must be >= 0")
-    if c.grad_norm_stop < 0:
-        _fail("grad_norm_stop", "must be >= 0")
     for key in ("final_eval_budget", "reference_inner_budget"):
         if getattr(c, key) < 1:
             _fail(key, "must be >= 1")
-    if c.reference_n_candidates < 2:
-        _fail("reference_n_candidates", "must be >= 2")
-    if c.reference_max_iterations < 1:
-        _fail("reference_max_iterations", "must be >= 1")
 
 
 def load_config(path) -> ExperimentConfig:
     """Read a YAML mapping of flat keys into an ExperimentConfig.
 
-    Unknown keys, missing required keys, wrong types and constraint
-    violations all raise ConfigError naming the key.  Each key's type is
-    its ExperimentConfig field annotation: "str", "int" or "float".
+    Unknown keys and missing required keys raise ConfigError naming the
+    key; ExperimentConfig itself rejects wrong types and constraint
+    violations the same way.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -196,33 +194,16 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"config file {path}: not valid YAML ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: expected a mapping of keys to values")
-    known = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    values = {}
-    for key, value in raw.items():
-        if key not in known:
+    fields = dataclasses.fields(ExperimentConfig)
+    names = {f.name for f in fields}
+    for key in raw:
+        if key not in names:
             raise ConfigError(f"config key {key!r}: unknown key")
-        kind = known[key].type
-        try:
-            if kind == "str":
-                if not isinstance(value, str):
-                    raise TypeError("expected a string")
-                values[key] = value
-            elif kind == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError("expected an integer")
-                values[key] = int(value)
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeError("expected a number")
-                values[key] = float(value)
-        except TypeError as exc:
-            raise ConfigError(f"config key {key!r}: {exc} (got {value!r})") from exc
-    required = [name for name, f in known.items()
-                if f.default is dataclasses.MISSING]
-    missing = [name for name in required if name not in values]
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ConfigError(f"config key {missing[0]!r}: required key is missing")
-    config = ExperimentConfig(**values)
+    config = ExperimentConfig(**raw)
     if config.n_growth_exponent == 0.0:
         # not an error: constant schedules are the practical defaults, they
         # just fall outside the asymptotic conditions behind the guarantees
@@ -234,27 +215,29 @@ def load_config(path) -> ExperimentConfig:
     return config
 
 
-def _projection_box(c: ExperimentConfig) -> ProjectionBox:
+def _gass_config(c: ExperimentConfig, mean0: np.ndarray, n_key: str = "n_candidates",
+                 cap_key: str = "max_iterations") -> GassConfig:
+    """The engine config of a search whose candidate count and iteration cap
+    are the config fields ``n_key`` and ``cap_key``.  Each engine object
+    checks its own inputs; its error names the keys it was built from."""
     d = c.dim
-    return ProjectionBox(
-        mean_lo=np.full(d, c.mean_box_lo),
-        mean_hi=np.full(d, c.mean_box_hi),
-        var_lo=np.full(d, c.var_box_lo),
-        var_hi=np.full(d, c.var_box_hi),
-    )
-
-
-def _gass_config(c: ExperimentConfig, mean0: np.ndarray) -> GassConfig:
-    return GassConfig(
-        init_params=SamplingParams(mean=mean0, variance=np.full(c.dim, c.var_init)),
-        box=_projection_box(c),
-        shape=ShapeConfig(s_o=c.s_o, rho=c.rho),
-        step_size=PowerLawStepSize(c.step_a, c.step_b, c.step_gamma),
-        n_candidates=PowerGrowthSchedule(c.n_candidates, c.n_growth_exponent),
-        epsilon=c.epsilon,
-        max_iterations=c.max_iterations,
-        grad_norm_stop=c.grad_norm_stop,
-    )
+    with _keys("var_init"):
+        init = SamplingParams(mean=mean0, variance=np.full(d, c.var_init))
+    with _keys("mean_box_lo", "mean_box_hi", "var_box_lo", "var_box_hi"):
+        box = ProjectionBox(mean_lo=np.full(d, c.mean_box_lo), mean_hi=np.full(d, c.mean_box_hi),
+                            var_lo=np.full(d, c.var_box_lo), var_hi=np.full(d, c.var_box_hi))
+    with _keys("s_o", "rho"):
+        shape = ShapeConfig(s_o=c.s_o, rho=c.rho)
+    with _keys("step_a", "step_b", "step_gamma"):
+        step_size = PowerLawStepSize(c.step_a, c.step_b, c.step_gamma)
+    with _keys(n_key, "n_growth_exponent"):
+        n_candidates = PowerGrowthSchedule(getattr(c, n_key), c.n_growth_exponent)
+    with _keys("epsilon", cap_key, "grad_norm_stop"):
+        return GassConfig(
+            init_params=init, box=box, shape=shape, step_size=step_size,
+            n_candidates=n_candidates, epsilon=c.epsilon,
+            max_iterations=getattr(c, cap_key), grad_norm_stop=c.grad_norm_stop,
+        )
 
 
 @dataclass(frozen=True)
@@ -325,7 +308,10 @@ def _aggregate(config: ExperimentConfig, reference_value: float,
     grid = np.unique(np.concatenate(all_evals))
     grid = grid[grid >= start]
     table = np.vstack([_step_values(e, b, grid) for e, b in zip(all_evals, all_bests)])
+    # best / ref, or 1 + (best - ref) / |ref| below zero: above 1 means worse
     ratios = table / reference_value
+    if reference_value < 0:
+        ratios = 2.0 - ratios
     k_max = max(len(o.result.records) for o in outcomes)
     alpha_rows = np.vstack([
         np.array([o.result.records[min(k, len(o.result.records) - 1)].alpha
@@ -346,21 +332,22 @@ def _aggregate(config: ExperimentConfig, reference_value: float,
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   reference_value: float | None = None,
-                   cache_dir=None) -> ExperimentResult:
+                   reference_value: float | None = None) -> ExperimentResult:
     """All replications plus aggregation.
 
-    ``workers`` > 1 farms replications out to processes; results are
-    identical to the serial run because every replication derives its own
-    substreams.  The reference optimum is computed (or read from cache)
-    unless passed in.
+    ``workers`` > 1 farms replications out to at most one process each;
+    results are identical to the serial run because every replication
+    derives its own substreams.  The reference optimum is computed, without
+    a cache, unless passed in.
     """
     workers = int(workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if reference_value is None:
-        reference_value = emit_reference_run(config, cache_dir=cache_dir)
+        reference_value = emit_reference_run(config)
     reps = range(config.replications)
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(workers, config.replications)
     if workers == 1:
         outcomes = [run_replication(config, rep) for rep in reps]
     else:
@@ -466,13 +453,7 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     mean0 = generator(substream(ref_seed, 0)).uniform(
         config.mean_init_lo, config.mean_init_hi, config.dim
     )
-    ref_cfg = dataclasses.replace(
-        config,
-        n_candidates=config.reference_n_candidates,
-        max_iterations=config.reference_max_iterations,
-        replications=1,
-    )
-    gcfg = _gass_config(ref_cfg, mean0)
+    gcfg = _gass_config(config, mean0, "reference_n_candidates", "reference_max_iterations")
     loss = BenchmarkLoss(config.benchmark, config.dim)
     result = run_gass_cvar(
         gcfg, loss, config.alpha_star, config.reference_inner_budget,

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from cvarsearch import harness
 from cvarsearch.benchmarks import BenchmarkLoss, l0_min_cvar_oracle
 from cvarsearch.engine import evaluate_candidates
 from cvarsearch.harness import (
@@ -66,21 +68,66 @@ class TestConfigValidation:
             ("rho", 0.0),
             ("epsilon", 0.0),
             ("step_a", 0.0),
+            ("step_b", 0.0),
             ("step_gamma", 0.5),
             ("mean_init_lo", 99.0),
+            ("mean_box_lo", 60.0),
             ("var_box_lo", 0.0),
+            ("var_box_lo", 200.0),
             ("var_init", 1e9),
             ("max_iterations", 0),
             ("replications", 0),
             ("master_seed", -1),
+            ("grad_norm_stop", -1.0),
             ("final_eval_budget", 0),
             ("reference_n_candidates", 1),
+            ("reference_max_iterations", 0),
+            ("reference_inner_budget", 0),
         ],
     )
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             tiny_config(**{key: value})
-        assert "config key" in str(err.value)
+        assert f"{key!r}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("step_gamma", 0.5, "config key 'step_a', 'step_b', 'step_gamma': "
+             "step-size gamma must lie in (0.5, 1], got 0.5"),
+            ("reference_n_candidates", 1, "config key 'reference_n_candidates', "
+             "'n_growth_exponent': candidate count base must be >= 2, got 1"),
+            ("reference_max_iterations", 0, "config key 'epsilon', "
+             "'reference_max_iterations', 'grad_norm_stop': max_iterations must be >= 1"),
+        ],
+        ids=["step_gamma", "reference_n_candidates", "reference_max_iterations"],
+    )
+    def test_engine_rule_names_the_keys_of_its_object(self, key, value, message):
+        # the engine object's own reason, after the keys it was built from;
+        # a reference size never names the search size it stands in for
+        with pytest.raises(ConfigError) as err:
+            tiny_config(**{key: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("dim", 2.0), ("replications", 2.0), ("max_iterations", 2.5),
+         ("n_candidates", 6.5), ("master_seed", True)],
+    )
+    def test_python_built_wrong_type_names_key(self, key, value, build):
+        # types are checked however the config is built, not only on load
+        with pytest.raises(ConfigError) as err:
+            if build == "direct":
+                tiny_config(**{key: value})
+            else:
+                dataclasses.replace(tiny_config(), **{key: value})
+        assert f"config key {key!r}: expected an integer (got {value!r})" in str(err.value)
+
+    def test_int_in_float_field_is_coerced(self):
+        config = tiny_config(step_a=50)
+        assert config == tiny_config(step_a=50.0)
+        assert type(config.step_a) is float
 
     @pytest.mark.parametrize(
         "key", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
@@ -92,6 +139,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert f"config key {key!r}: must be finite" in str(err.value)
+
+    def test_int_beyond_float_range_is_not_finite(self):
+        with pytest.raises(ConfigError) as err:
+            tiny_config(s_o=10**400)
+        assert "config key 's_o': must be finite" in str(err.value)
 
     def test_powell_dim_floor(self):
         with pytest.raises(ConfigError) as err:
@@ -285,6 +337,45 @@ class TestExperiment:
     def test_workers_floor(self):
         with pytest.raises(ValueError):
             run_experiment(tiny_config(), workers=0, reference_value=1.0)
+
+    @pytest.mark.parametrize("replications,pools", [(3, [3]), (1, [])])
+    def test_pool_no_larger_than_replications(self, replications, pools, monkeypatch):
+        # a fork-started pool launches every worker at the first submit
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        config = tiny_config(replications=replications)
+        result = run_experiment(config, workers=64, reference_value=1.0)
+        assert sizes == pools
+        assert [o.rep for o in result.outcomes] == list(range(replications))
+
+    def test_ratio_above_one_below_a_negative_reference(self):
+        # every best lies far above -100, so every ratio must read worse than 1
+        config = tiny_config(benchmark="rastrigin", dim=1)
+        result = run_experiment(config, workers=1, reference_value=-100.0)
+        assert np.all(result.curve_mean_value > -100.0)
+        for ratios in (result.curve_mean_ratio, result.curve_q10_ratio,
+                       result.curve_q90_ratio):
+            assert np.all(ratios > 1.0)
+        np.testing.assert_allclose(
+            result.curve_mean_ratio, 1.0 + (result.curve_mean_value + 100.0) / 100.0,
+            rtol=1e-12,
+        )
 
 
 class TestBudgetToThreshold:
