@@ -23,6 +23,7 @@ other functions serve as harder search targets without analytic optima.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +116,11 @@ class BenchmarkLoss:
             raise ValueError(
                 f"unknown benchmark {self.benchmark_id!r}, expected one of {BENCHMARK_IDS}"
             )
-        if int(self.dim) < 1:
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.benchmark_id == "powell" and int(self.dim) < 4:
+        if self.benchmark_id == "powell" and self.dim < 4:
             raise ValueError("powell requires dim >= 4")
-        object.__setattr__(self, "dim", int(self.dim))
 
     def _point(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -143,7 +144,7 @@ class BenchmarkLoss:
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
         """m independent noisy loss draws at x."""
-        m = int(m)
+        m = operator.index(m)
         if m < 1:
             raise ValueError("m must be >= 1")
         arr = self._point(x)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -99,7 +100,8 @@ _BLOCK_BYTES = 1 << 20
 
 
 class LossModel(Protocol):
-    """What the engines require of a loss: fresh noisy simulations."""
+    """What the engines require of a loss: ``simulate`` returns exactly m
+    fresh noisy simulations, shape (m,); any other shape is refused."""
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray: ...
 
@@ -161,13 +163,11 @@ class GassConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if int(self.max_iterations) < 1:
+        if operator.index(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         if not (math.isfinite(self.grad_norm_stop) and self.grad_norm_stop >= 0):
             raise ValueError("grad_norm_stop must be finite and >= 0")
-        if self.init_params.dim != self.box.dim:
-            raise ValueError("init_params and box dimension mismatch")
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,9 @@ class RunResult:
 def normalized_weights(shape_values) -> np.ndarray:
     """Shape values scaled to sum to one.
 
-    An all-zero input (every score shaped to nothing, possible only with
-    degenerate scores) falls back to uniform weights.
+    An all-zero input falls back to uniform weights.  The search loop never
+    passes one: the candidate at the shaping threshold has weight
+    expit(0) = 0.5, so the fallback serves direct callers only.
     """
     arr = np.asarray(shape_values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -292,9 +293,11 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         for i in range(start, stop):
-            block[i - start] = loss.simulate(
-                xs[i], m, generator(substream(seq, *key, first + i))
-            )
+            draws = loss.simulate(xs[i], m, generator(substream(seq, *key, first + i)))
+            if np.shape(draws) != (m,):
+                raise ValueError(
+                    f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
+            block[i - start] = draws
         out[start:stop] = empirical_cvar(block[:stop - start], alpha)
     return out
 
@@ -308,7 +311,7 @@ def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
-    budget = int(budget)
+    budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     return _candidate_cvars(loss, candidates, alpha, budget, as_seed_sequence(seed))
@@ -371,10 +374,10 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     other records are not re-evaluated, which keeps large-budget runs such
     as the reference optimum at one extra candidate evaluation.
     """
-    m = int(inner_budget)
+    m = operator.index(inner_budget)
     if m < 1:
         raise ValueError(f"inner_budget must be >= 1, got {m}")
-    if int(final_eval_budget) < 1:
+    if operator.index(final_eval_budget) < 1:
         raise ValueError("final_eval_budget must be >= 1")
     schedule = RiskSchedule.start(alpha_star, alpha_star)
     seed_seq = as_seed_sequence(seed)
@@ -404,7 +407,7 @@ def run_gass_cvar_arl(config: GassConfig, loss: LossModel, schedule: RiskSchedul
     best candidate is re-evaluated at the target level with fresh
     simulations and the argmin of those values is reported.
     """
-    if int(final_eval_budget) < 1:
+    if operator.index(final_eval_budget) < 1:
         raise ValueError("final_eval_budget must be >= 1")
     seed_seq = as_seed_sequence(seed)
     alpha_star = schedule.alpha_target

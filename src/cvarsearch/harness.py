@@ -220,12 +220,10 @@ def _gass_config(c: ExperimentConfig, mean0: np.ndarray, n_key: str = "n_candida
     """The engine config of a search whose candidate count and iteration cap
     are the config fields ``n_key`` and ``cap_key``.  Each engine object
     checks its own inputs; its error names the keys it was built from."""
-    d = c.dim
     with _keys("var_init"):
-        init = SamplingParams(mean=mean0, variance=np.full(d, c.var_init))
+        init = SamplingParams(mean=mean0, variance=np.full(c.dim, c.var_init))
     with _keys("mean_box_lo", "mean_box_hi", "var_box_lo", "var_box_hi"):
-        box = ProjectionBox(mean_lo=np.full(d, c.mean_box_lo), mean_hi=np.full(d, c.mean_box_hi),
-                            var_lo=np.full(d, c.var_box_lo), var_hi=np.full(d, c.var_box_hi))
+        box = ProjectionBox(c.mean_box_lo, c.mean_box_hi, c.var_box_lo, c.var_box_hi)
     with _keys("s_o", "rho"):
         shape = ShapeConfig(s_o=c.s_o, rho=c.rho)
     with _keys("step_a", "step_b", "step_gamma"):

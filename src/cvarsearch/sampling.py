@@ -4,7 +4,8 @@ The search distribution is a diagonal Gaussian over R^D.  It is handled in
 two equivalent coordinate systems:
 
 * moment view ``(mean, variance)``, used for sampling, reporting and for
-  clamping into the feasible box;
+  clamping into the feasible box, one mean interval and one variance
+  interval shared by every coordinate;
 * natural view ``(eta1, eta2) = (mean/variance, -1/(2 variance))``, the
   exponential-family parameters in which the search update is additive.
   It is only ever a raw stacked vector: ``to_natural`` produces it, and
@@ -17,6 +18,7 @@ statistic space share one layout of length 2 D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,38 +66,28 @@ class SamplingParams:
 
 @dataclass(frozen=True)
 class ProjectionBox:
-    """Feasible box for the moment view, clamped coordinatewise.
+    """Feasible box for the moment view: every coordinate's mean is clamped
+    into [mean_lo, mean_hi] and its variance into [var_lo, var_hi].
 
     The variance floor keeps the family non-degenerate; 1e-6 is small
     enough that it only binds once the search has effectively converged.
     """
 
-    mean_lo: np.ndarray
-    mean_hi: np.ndarray
-    var_lo: np.ndarray
-    var_hi: np.ndarray
+    mean_lo: float
+    mean_hi: float
+    var_lo: float
+    var_hi: float
 
     def __post_init__(self):
-        mean_lo = _as_vector(self.mean_lo, "mean_lo")
-        mean_hi = _as_vector(self.mean_hi, "mean_hi")
-        var_lo = _as_vector(self.var_lo, "var_lo")
-        var_hi = _as_vector(self.var_hi, "var_hi")
-        if not (mean_lo.shape == mean_hi.shape == var_lo.shape == var_hi.shape):
-            raise ValueError("box bounds must all have the same length")
-        if not np.all(mean_lo <= mean_hi):
+        for name in ("mean_lo", "mean_hi", "var_lo", "var_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.mean_lo <= self.mean_hi:
             raise ValueError("mean_lo must be <= mean_hi")
-        if not np.all(var_lo > 0):
+        if not self.var_lo > 0:
             raise ValueError("var_lo must be strictly positive")
-        if not np.all(var_lo <= var_hi):
+        if not self.var_lo <= self.var_hi:
             raise ValueError("var_lo must be <= var_hi")
-        object.__setattr__(self, "mean_lo", mean_lo)
-        object.__setattr__(self, "mean_hi", mean_hi)
-        object.__setattr__(self, "var_lo", var_lo)
-        object.__setattr__(self, "var_hi", var_hi)
-
-    @property
-    def dim(self) -> int:
-        return self.mean_lo.size
 
 
 def sufficient_statistics(x) -> np.ndarray:
@@ -146,11 +138,10 @@ def _project_raw_natural(theta: np.ndarray, box: ProjectionBox) -> SamplingParam
 
     Additive updates can leave the family's domain (eta2 >= 0, which has no
     finite variance).  Such coordinates are sent to the variance ceiling,
-    the closest feasible curvature, before the moment clamp.
+    the closest feasible curvature, before the moment clamp.  theta holds
+    2 D entries, so it sets D; the box bounds every coordinate alike.
     """
-    if theta.shape != (2 * box.dim,):
-        raise ValueError(f"need a natural vector of length {2 * box.dim}, got {theta.shape}")
-    d = box.dim
+    d = theta.size // 2
     eta1, eta2 = theta[:d], theta[d:]
     ok = eta2 < 0
     variance = np.where(ok, -0.5 / np.where(ok, eta2, -1.0), np.inf)

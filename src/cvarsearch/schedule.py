@@ -20,6 +20,7 @@ expected number of tail samples stays constant: ceil(eff / (1 - alpha)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = ["RiskSchedule", "update_risk_level", "inner_sample_size"]
@@ -90,7 +91,7 @@ def inner_sample_size(alpha: float, effective_size: int) -> int:
     """Per-candidate simulation count ceil(effective_size / (1 - alpha))."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    effective_size = int(effective_size)
+    effective_size = operator.index(effective_size)
     if effective_size < 2:
         raise ValueError(f"effective_size must be >= 2, got {effective_size}")
     return math.ceil(effective_size / (1.0 - alpha))

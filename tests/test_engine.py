@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -37,16 +38,6 @@ from cvarsearch.shaping import ShapeConfig, sample_quantile_threshold, shape
 from cvarsearch.streams import as_seed_sequence, generator, substream
 
 
-def symmetric_box(dim, mean_bound, var_hi, var_lo=1e-6):
-    """Box [-mean_bound, mean_bound] x [var_lo, var_hi] in every coordinate."""
-    return ProjectionBox(
-        mean_lo=np.full(dim, -float(mean_bound)),
-        mean_hi=np.full(dim, float(mean_bound)),
-        var_lo=np.full(dim, float(var_lo)),
-        var_hi=np.full(dim, float(var_hi)),
-    )
-
-
 class NoiselessLoss:
     """Deterministic quadratic bowl pretending to be a simulator."""
 
@@ -59,7 +50,7 @@ def small_config(dim=2, **overrides):
         init_params=SamplingParams(
             mean=np.full(dim, 3.0), variance=np.full(dim, 4.0)
         ),
-        box=symmetric_box(dim, mean_bound=10.0, var_hi=10.0, var_lo=1e-4),
+        box=ProjectionBox(-10.0, 10.0, 1e-4, 10.0),
         shape=ShapeConfig(s_o=1e5, rho=0.1),
         step_size=PowerLawStepSize(2.0, 10.0, 0.6),
         n_candidates=PowerGrowthSchedule(50, 0.0),
@@ -270,7 +261,7 @@ class TestNewtonStep:
 
 
 class TestNewtonUpdate:
-    BOX = symmetric_box(1, mean_bound=5.0, var_hi=8.0, var_lo=0.1)
+    BOX = ProjectionBox(-5.0, 5.0, 0.1, 8.0)
 
     def update(self, grad):
         theta = to_natural(SamplingParams(mean=np.zeros(1), variance=np.ones(1)))
@@ -308,6 +299,29 @@ class TestEvaluateCandidates:
             evaluate_candidates(self.LOSS, [], 0.9, 10, 0)
         with pytest.raises(ValueError):
             evaluate_candidates(self.LOSS, [np.zeros(2)], 0.9, 0, 0)
+
+
+class ShortLoss:
+    """A loss that returns one draw, as an array or a bare float, not m."""
+
+    def __init__(self, as_float):
+        self.as_float = as_float
+
+    def simulate(self, x, m, rng):
+        value = float(np.sum(x))
+        return value if self.as_float else np.array([value])
+
+
+class TestLossEntry:
+    @pytest.mark.parametrize("as_float, got", [(False, "(1,)"), (True, "()")],
+                             ids=["array", "float"])
+    def test_short_draws_rejected(self, as_float, got):
+        loss = ShortLoss(as_float)
+        with pytest.raises(ValueError, match=re.escape(f"shape {got}, expected (50,)")):
+            evaluate_candidates(loss, [np.array([1.0, 2.0])], 0.9, 50, 0)
+        with pytest.raises(ValueError, match=re.escape(f"shape {got}")):
+            run_gass_cvar_arl(small_config(max_iterations=2), loss,
+                              RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=10)
 
 
 def _block_rows(m):
@@ -513,6 +527,37 @@ class TestEntryChecks:
         assert loss.points == []
 
 
+class TestIntegerCounts:
+    """A count must be an integer: a float is refused, not truncated."""
+
+    LOSS = BenchmarkLoss("l0", 2)
+    CASES = {
+        "max_iterations": lambda loss: small_config(max_iterations=2.5),
+        "dim": lambda loss: BenchmarkLoss("l0", 2.7),
+        "simulate_m": lambda loss: loss.simulate(np.zeros(2), 3.9, np.random.default_rng(0)),
+        "effective_size": lambda loss: inner_sample_size(0.5, 30.9),
+        "evaluate_budget": lambda loss: evaluate_candidates(loss, [np.zeros(2)], 0.9, 2.5, 0),
+        "inner_budget": lambda loss: run_gass_cvar(small_config(), loss, 0.9, 5.5, 0),
+        "fixed_final_eval_budget": lambda loss: run_gass_cvar(
+            small_config(), loss, 0.9, 5, 0, final_eval_budget=10.5),
+        "arl_final_eval_budget": lambda loss: run_gass_cvar_arl(
+            small_config(), loss, RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=10.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_float_count_rejected(self, case):
+        with pytest.raises(TypeError):
+            self.CASES[case](self.LOSS)
+
+    def test_numpy_integers_accepted(self):
+        assert small_config(max_iterations=np.int64(3)).max_iterations == 3
+        assert BenchmarkLoss("l0", np.int64(2)).dim == 2
+        draws = self.LOSS.simulate(np.zeros(2), np.int64(3), np.random.default_rng(0))
+        assert draws.shape == (3,)
+        assert inner_sample_size(0.5, np.int64(30)) == 60
+        assert evaluate_candidates(self.LOSS, [np.zeros(2)], 0.9, np.int64(10), 0).shape == (1,)
+
+
 class TestRampedRun:
     LOSS = BenchmarkLoss("l0", 2)
 
@@ -583,16 +628,6 @@ class TestRampedRun:
 
 
 class TestConfigValidation:
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            GassConfig(
-                init_params=SamplingParams(mean=np.zeros(2), variance=np.ones(2)),
-                box=symmetric_box(3, mean_bound=1.0, var_hi=1.0),
-                shape=ShapeConfig(s_o=1.0, rho=0.5),
-                step_size=PowerLawStepSize(1.0, 1.0, 0.6),
-                n_candidates=PowerGrowthSchedule(10, 0.0),
-            )
-
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             small_config(epsilon=0.0)

@@ -18,16 +18,6 @@ def params(mean, var):
     return SamplingParams(mean=np.asarray(mean, float), variance=np.asarray(var, float))
 
 
-def symmetric_box(dim, mean_bound, var_hi, var_lo=1e-6):
-    """Box [-mean_bound, mean_bound] x [var_lo, var_hi] in every coordinate."""
-    return ProjectionBox(
-        mean_lo=np.full(dim, -float(mean_bound)),
-        mean_hi=np.full(dim, float(mean_bound)),
-        var_lo=np.full(dim, float(var_lo)),
-        var_hi=np.full(dim, float(var_hi)),
-    )
-
-
 # keep magnitudes in normal float range; the relative round-trip contract
 # has nothing to say about subnormal underflow
 finite_means = st.floats(-1e6, 1e6, allow_nan=False).filter(
@@ -54,16 +44,19 @@ class TestValidation:
             params([0.0], [np.inf])
 
     def test_box_ordering(self):
-        with pytest.raises(ValueError):
-            ProjectionBox(
-                mean_lo=np.array([1.0]), mean_hi=np.array([0.0]),
-                var_lo=np.array([1e-6]), var_hi=np.array([1.0]),
-            )
-        with pytest.raises(ValueError):
-            ProjectionBox(
-                mean_lo=np.array([0.0]), mean_hi=np.array([1.0]),
-                var_lo=np.array([0.0]), var_hi=np.array([1.0]),
-            )
+        with pytest.raises(ValueError, match="mean_lo must be <= mean_hi"):
+            ProjectionBox(mean_lo=1.0, mean_hi=0.0, var_lo=1e-6, var_hi=1.0)
+        with pytest.raises(ValueError, match="var_lo must be strictly positive"):
+            ProjectionBox(mean_lo=0.0, mean_hi=1.0, var_lo=0.0, var_hi=1.0)
+        with pytest.raises(ValueError, match="var_lo must be <= var_hi"):
+            ProjectionBox(mean_lo=0.0, mean_hi=1.0, var_lo=2.0, var_hi=1.0)
+
+    @pytest.mark.parametrize("name, value", [("var_hi", np.inf), ("mean_lo", np.nan)])
+    def test_box_non_finite_rejected(self, name, value):
+        bounds = dict(mean_lo=-1.0, mean_hi=1.0, var_lo=1e-6, var_hi=1.0)
+        bounds[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ProjectionBox(**bounds)
 
 
 class TestStatistics:
@@ -131,7 +124,7 @@ class TestNaturalView:
         d = min(len(mean), len(var))
         p = params(mean[:d], var[:d])
         # a box wide enough that no point the strategies draw is clamped
-        wide = symmetric_box(d, mean_bound=1e7, var_hi=1e9, var_lo=1e-9)
+        wide = ProjectionBox(-1e7, 1e7, 1e-9, 1e9)
         q = _project_raw_natural(to_natural(p), wide)
         np.testing.assert_allclose(q.mean, p.mean, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(q.variance, p.variance, rtol=1e-12)
@@ -141,12 +134,7 @@ class TestNaturalView:
         np.testing.assert_array_equal(nat, np.array([0.5, 2.0, -0.125, -0.25]))
 
 
-BOX = ProjectionBox(
-    mean_lo=np.array([-1.0, -1.0]),
-    mean_hi=np.array([1.0, 1.0]),
-    var_lo=np.array([1e-4, 1e-4]),
-    var_hi=np.array([4.0, 4.0]),
-)
+BOX = ProjectionBox(-1.0, 1.0, 1e-4, 4.0)
 
 
 def project(p, box=BOX):
@@ -196,7 +184,3 @@ class TestProject:
         assert np.all(out.mean <= BOX.mean_hi + slack)
         assert np.all(out.variance >= BOX.var_lo * (1 - 1e-14))
         assert np.all(out.variance <= BOX.var_hi * (1 + 1e-14))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project(params([0.0], [1.0]))
