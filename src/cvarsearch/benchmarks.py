@@ -180,7 +180,7 @@ def l0_min_cvar_oracle(dim: int, alpha: float) -> tuple[np.ndarray, float]:
     profile is scanned on a dense grid over t in [-0.5, 1.5] and refined to
     1e-6 around the best cell.
     """
-    dim = int(dim)
+    dim = operator.index(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if not (0.0 <= alpha < 1.0):

@@ -33,7 +33,11 @@ Re-evaluation budget is accounted separately from the search budget.
 
 Randomness: every consumer draws from a substream keyed by its role and
 position (iteration, candidate index), so results do not depend on
-evaluation order or worker count.
+evaluation order or worker count.  The per-candidate streams of one
+evaluation are built in one batch by ``streams.candidate_generators``,
+which writes out NumPy's SeedSequence and PCG64 seeding arithmetic and
+resets one PCG64 per candidate; each stream is bit-identical to NumPy's
+own construction at the same key path.
 
 Memory: candidates are simulated and reduced to CVaR estimates in row
 blocks of at most ``_BLOCK_BYTES``, so a search or re-evaluation holds
@@ -64,7 +68,7 @@ from .sampling import (
 )
 from .schedule import RiskSchedule, inner_sample_size, update_risk_level
 from .shaping import ShapeConfig, sample_quantile_threshold, shape
-from .streams import as_seed_sequence, generator, substream
+from .streams import as_seed_sequence, candidate_generators, generator, substream
 
 __all__ = [
     "LossModel",
@@ -101,7 +105,14 @@ _BLOCK_BYTES = 1 << 20
 
 class LossModel(Protocol):
     """What the engines require of a loss: ``simulate`` returns exactly m
-    fresh noisy simulations, shape (m,); any other shape is refused."""
+    fresh noisy simulations, shape (m,); any other shape is refused.
+
+    ``rng`` is the candidate's own stream, bit-identical to NumPy's
+    ``default_rng`` at the candidate's key path.  The engine resets that
+    same generator to the next candidate's stream after the call returns,
+    so a loss must draw from it only during the call and must not keep it;
+    it cannot spawn.
+    """
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray: ...
 
@@ -280,7 +291,8 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
                      seq: np.random.SeedSequence, *key: int, first: int = 0) -> np.ndarray:
     """CVaR estimate of each candidate in xs from m fresh simulations.
 
-    Candidate i draws from ``substream(seq, *key, first + i)``.  Rows are
+    Candidate i draws from the stream of ``substream(seq, *key, first +
+    i)``, all built in one batch by ``candidate_generators``.  Rows are
     simulated into one reused buffer of at most ``_BLOCK_BYTES``, or of one
     row when a row is larger, and reduced block by block; each row's
     estimate depends only on that row, so the values do not depend on the
@@ -290,10 +302,11 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     rows = max(1, min(n, _BLOCK_BYTES // (8 * m)))
     block = np.empty((rows, m))
     out = np.empty(n)
+    rngs = candidate_generators(seq, key, first, n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         for i in range(start, stop):
-            draws = loss.simulate(xs[i], m, generator(substream(seq, *key, first + i)))
+            draws = loss.simulate(xs[i], m, next(rngs))
             if np.shape(draws) != (m,):
                 raise ValueError(
                     f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")

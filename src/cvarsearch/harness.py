@@ -31,6 +31,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -257,7 +258,7 @@ class ReplicationOutcome:
 
 def run_replication(config: ExperimentConfig, rep: int) -> ReplicationOutcome:
     """Run one replication; depends only on (config, rep)."""
-    rep = int(rep)
+    rep = operator.index(rep)
     if not 0 <= rep:
         raise ValueError("rep must be >= 0")
     rep_seq = substream(as_seed_sequence(config.master_seed), rep)
@@ -338,7 +339,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     derives its own substreams.  The reference optimum is computed, without
     a cache, unless passed in.
     """
-    workers = int(workers)
+    workers = operator.index(workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if reference_value is None:

@@ -19,6 +19,7 @@ statistic space share one layout of length 2 D.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def sample(params: SamplingParams, n: int, rng: np.random.Generator) -> np.ndarr
     The draw is a single batched call, so the result is bit-identical for a
     given generator state regardless of surrounding code.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     std = np.sqrt(params.variance)

@@ -258,6 +258,10 @@ class TestQuadraticOracles:
         values = [l0_min_cvar_oracle(2, a)[1] for a in (0.0, 0.5, 0.9, 0.99)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_min_float_dim_rejected(self):
+        with pytest.raises(TypeError):
+            l0_min_cvar_oracle(2.0, 0.95)
+
     def test_min_alpha_zero_is_origin(self):
         point, value = l0_min_cvar_oracle(4, 0.0)
         # mean objective: quadratic alone, minimised at zero

@@ -260,6 +260,10 @@ class TestReplications:
         np.testing.assert_array_equal(a.result.record_values, b.result.record_values)
         assert a.result.final_best_cvar == b.result.final_best_cvar
 
+    def test_float_rep_rejected(self):
+        with pytest.raises(TypeError):
+            run_replication(tiny_config(), 1.0)
+
     def test_reps_differ(self):
         config = tiny_config()
         a = run_replication(config, 0)
@@ -337,6 +341,10 @@ class TestExperiment:
     def test_workers_floor(self):
         with pytest.raises(ValueError):
             run_experiment(tiny_config(), workers=0, reference_value=1.0)
+
+    def test_float_workers_rejected(self):
+        with pytest.raises(TypeError):
+            run_experiment(tiny_config(), workers=2.0, reference_value=1.0)
 
     @pytest.mark.parametrize("replications,pools", [(3, [3]), (1, [])])
     def test_pool_no_larger_than_replications(self, replications, pools, monkeypatch):

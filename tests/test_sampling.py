@@ -109,6 +109,10 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(params([0.0], [1.0]), 0, np.random.default_rng(0))
 
+    def test_float_n_rejected(self):
+        with pytest.raises(TypeError):
+            sample(params([0.0], [1.0]), 3.0, np.random.default_rng(0))
+
 
 class TestNaturalView:
     def test_known_values(self):
