@@ -12,6 +12,21 @@ One iteration, at risk level alpha_k:
 5. take a regularized Newton step in natural coordinates and clamp the
    result into the feasible box.
 
+Steps 3-5 are one GASS update, the private ``_step``.  Its kernels
+``normalized_weights``, ``sample_variance_matrix`` and
+``newton_step_vector`` check nothing, because the objects that build their
+inputs already guarantee them:
+
+- the shape values lie in [0, 1]: ``empirical_cvar`` refuses non-finite
+  losses, ``sample_quantile_threshold`` and ``shape`` refuse non-finite
+  scores, and ``shape``'s logistic maps the rest into [0, 1]; the
+  candidate at the threshold weighs expit(0) = 0.5, so their sum is at
+  least 0.5;
+- ``PowerGrowthSchedule`` keeps N_k >= 2, as the sample variance needs;
+- ``PowerLawStepSize`` makes the step size positive and finite, and
+  ``GassConfig`` the epsilon;
+- every array shape derives from the family's parameters.
+
 N_k = ceil(N * max(k, 1)^exponent) comes from a ``PowerGrowthSchedule``
 (exponent 0 keeps it constant) and the step size from a
 ``PowerLawStepSize``.  Both check their parameters when built, and the
@@ -46,7 +61,6 @@ O(block) loss draws at a time, not the O(N_k * M_k) loss matrix.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -79,15 +93,10 @@ __all__ = [
     "RunResult",
     "GRAD_THRESHOLD",
     "MAX_ITERATIONS",
-    "normalized_weights",
-    "sample_variance_matrix",
-    "newton_step_vector",
     "evaluate_candidates",
     "run_gass_cvar",
     "run_gass_cvar_arl",
 ]
-
-logger = logging.getLogger(__name__)
 
 # termination reasons
 GRAD_THRESHOLD = "grad_threshold"
@@ -224,66 +233,40 @@ class RunResult:
 def normalized_weights(shape_values) -> np.ndarray:
     """Shape values scaled to sum to one.
 
-    An all-zero input falls back to uniform weights.  The search loop never
-    passes one: the candidate at the shaping threshold has weight
-    expit(0) = 0.5, so the fallback serves direct callers only.
+    Requires a non-empty 1-d vector of finite values >= 0 with a positive
+    sum.
     """
     arr = np.asarray(shape_values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"shape_values must be a non-empty 1-d vector, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("shape_values must be finite")
-    if np.any(arr < 0):
-        raise ValueError("shape_values must be >= 0")
-    total = arr.sum()
-    if total <= 0.0:
-        logger.warning("all shape values are zero; falling back to uniform weights")
-        return np.full(arr.size, 1.0 / arr.size)
-    return arr / total
+    return arr / arr.sum()
 
 
-def sample_variance_matrix(stats) -> np.ndarray:
+def sample_variance_matrix(stats: np.ndarray) -> np.ndarray:
     """Unbiased sample covariance of statistic rows.
 
+    Requires a float array of shape (n, p) with n >= 2 and p >= 1.
     Evaluated in centred form, which is algebraically the Gram-minus-outer
     estimator but keeps round-off independent of the statistics' offset.
     """
-    arr = np.asarray(stats, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValueError(f"stats must have shape (n, p), got {arr.shape}")
-    n = arr.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 statistic rows")
-    dev = arr - arr.mean(axis=0)
-    return (dev.T @ dev) / (n - 1)
+    dev = stats - stats.mean(axis=0)
+    return (dev.T @ dev) / (len(stats) - 1)
 
 
-def newton_step_vector(theta, grad, var_matrix, step_size: float,
-                       epsilon: float) -> np.ndarray:
+def newton_step_vector(theta: np.ndarray, grad: np.ndarray, var_matrix: np.ndarray,
+                       step_size: float, epsilon: float) -> np.ndarray:
     """Pre-projection update theta + step * (var_matrix + eps I)^-1 grad.
 
-    The regularized system is symmetric positive definite by construction;
-    it is solved by Cholesky, with a symmetric-indefinite solve as the
-    fallback for matrices whose smallest eigenvalue sits within round-off
-    of -epsilon.
+    Requires float arrays theta and grad of shape (p,), a symmetric
+    var_matrix of shape (p, p), and a positive finite step size and
+    epsilon.  The regularized system is then symmetric positive definite
+    by construction; it is solved by Cholesky, with a symmetric-indefinite
+    solve as the fallback for matrices whose smallest eigenvalue sits
+    within round-off of -epsilon.
     """
-    theta = np.asarray(theta, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    v = np.asarray(var_matrix, dtype=float)
-    p = theta.size
-    if g.shape != (p,) or v.shape != (p, p):
-        raise ValueError(
-            f"shape mismatch: theta {theta.shape}, grad {g.shape}, var {v.shape}"
-        )
-    if not (math.isfinite(step_size) and step_size > 0):
-        raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    a = v + epsilon * np.eye(p)
+    a = var_matrix + epsilon * np.eye(len(theta))
     try:
-        direction = linalg.cho_solve(linalg.cho_factor(a, lower=True), g)
+        direction = linalg.cho_solve(linalg.cho_factor(a, lower=True), grad)
     except linalg.LinAlgError:
-        direction = linalg.solve(a, g, assume_a="sym")
+        direction = linalg.solve(a, grad, assume_a="sym")
     return theta + step_size * direction
 
 
@@ -330,6 +313,22 @@ def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
     return _candidate_cvars(loss, candidates, alpha, budget, as_seed_sequence(seed))
 
 
+def _step(params: SamplingParams, xs: np.ndarray, cvars: np.ndarray, k: int,
+          config: GassConfig) -> tuple[SamplingParams, float]:
+    """One GASS update from iteration k's candidates and their CVaR
+    estimates: the projected next family and the gradient norm."""
+    scores = -cvars
+    gamma = sample_quantile_threshold(scores, config.shape.rho)
+    weights = normalized_weights(shape(scores, gamma, config.shape))
+    stats = sufficient_statistics(xs)
+    grad = weights @ stats - expected_sufficient_statistics(params)
+    raw = newton_step_vector(
+        to_natural(params), grad, sample_variance_matrix(stats),
+        config.step_size(k), config.epsilon,
+    )
+    return _project_raw_natural(raw, config.box), float(np.linalg.norm(grad))
+
+
 def _run_search(config: GassConfig, loss: LossModel, seed_seq,
                 schedule: RiskSchedule, inner_budget: Callable[[float], int]):
     """The search loop: alpha_k from the schedule, M_k = inner_budget(alpha_k)."""
@@ -346,13 +345,7 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
         cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k)
         cum_evals += n_k * m_k
 
-        scores = -cvars
-        gamma = sample_quantile_threshold(scores, config.shape.rho)
-        weights = normalized_weights(shape(scores, gamma, config.shape))
-        stats = sufficient_statistics(xs)
-        grad = weights @ stats - expected_sufficient_statistics(params)
-        grad_norm = float(np.linalg.norm(grad))
-
+        next_params, grad_norm = _step(params, xs, cvars, k, config)
         i_best = int(np.argmin(cvars))
         records.append(IterationRecord(
             k=k,
@@ -363,12 +356,7 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
             params_snapshot=params,
             best_candidate=xs[i_best].copy(),
         ))
-
-        raw = newton_step_vector(
-            to_natural(params), grad, sample_variance_matrix(stats),
-            config.step_size(k), config.epsilon,
-        )
-        params = _project_raw_natural(raw, config.box)
+        params = next_params
         schedule = update_risk_level(schedule, grad_norm)
         if grad_norm <= config.grad_norm_stop:
             terminated = GRAD_THRESHOLD

@@ -52,16 +52,13 @@ _XSHIFT = 16
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = (1 << 128) - 1
 
-# fewest indices hashed as one array; fewer are hashed one by one in
-# Python ints, which is cheaper below about ten
-_BATCH_MIN = 16
-
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int or SeedSequence into a SeedSequence."""
+    """Coerce an int or SeedSequence into a SeedSequence; a float is a
+    TypeError, never truncated."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(operator.index(seed))
 
 
 def _int_words(n: int) -> list[int]:
@@ -95,7 +92,7 @@ def _row(seq: np.random.SeedSequence, key, keyed: bool) -> list[int]:
     words = _words(seq.entropy)
     path = _words(seq.spawn_key) if seq.spawn_key else []
     for k in key:
-        path += _int_words(int(k))
+        path += _int_words(operator.index(k))
     if (path or keyed) and len(words) < _POOL_WORDS:
         words += [0] * (_POOL_WORDS - len(words))
     return words + path
@@ -188,7 +185,7 @@ def candidate_generators(seq: np.random.SeedSequence, key, first: int, count: in
     Every item is the same Generator, its PCG64 state reset to the next
     candidate's, so a stream is valid until the next item is taken; it
     cannot spawn.  A negative ``first`` or key element raises ValueError,
-    as ``substream`` does.
+    and a float one TypeError, as ``substream`` does.
     """
     first, count = operator.index(first), operator.index(count)
     if first < 0 or count < 0:
@@ -203,17 +200,12 @@ def _reset_each(pool: list[int], h: int, first: int, count: int):
     start, stop = first, first + count
     while start < stop:
         # the indices below the next multiple of 2**32 share their high
-        # words; their low words are hashed as one array, unless they are
-        # too few to repay the array overhead
+        # words; their low words are hashed as one array
         end = min(stop, (start >> 32) + 1 << 32)
         high = _int_words(start >> 32) if start >> 32 else []
-        lows = range(start & _WORD_MASK, (end - 1 & _WORD_MASK) + 1)
-        if len(lows) < _BATCH_MIN:
-            seeds = [_pcg_seeds(pool, h, [low] + high) for low in lows]
-        else:
-            words = _pcg_seeds(pool, h, [np.arange(lows.start, lows.stop, dtype=np.uint64)] + high)
-            seeds = zip(*(w.tolist() for w in words))
-        for s_hi, s_lo, i_hi, i_lo in seeds:
+        lows = np.arange(start & _WORD_MASK, (end - 1 & _WORD_MASK) + 1, dtype=np.uint64)
+        words = _pcg_seeds(pool, h, [lows] + high)
+        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in words)):
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
             state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK_128
             bit_gen.state = {"bit_generator": "PCG64",

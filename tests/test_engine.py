@@ -114,20 +114,6 @@ class TestWeights:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0)
 
-    def test_zero_sum_falls_back_to_uniform(self, caplog):
-        with caplog.at_level("WARNING", logger="cvarsearch.engine"):
-            w = normalized_weights(np.zeros(4))
-        np.testing.assert_array_equal(w, np.full(4, 0.25))
-        assert any("uniform" in r.message for r in caplog.records)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_weights([-1.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_weights([])
-
 
 class TestMoments:
     def test_weighted_mean_fixture(self):
@@ -188,10 +174,6 @@ class TestMoments:
         v = sample_variance_matrix(sufficient_statistics(xs))
         np.testing.assert_allclose(v, np.array([[1.0, 0.0], [0.0, 2.0]]), atol=0.02)
 
-    def test_variance_needs_two_rows(self):
-        with pytest.raises(ValueError):
-            sample_variance_matrix(np.array([[1.0, 2.0]]))
-
     def test_gradient_fixture(self, monkeypatch):
         # the loop's gradient is the weighted statistic mean minus the
         # family's analytic mean, recomputed here from the loop's own
@@ -249,16 +231,6 @@ class TestNewtonStep:
         got = newton_step_vector(np.zeros(2), np.array([1.0, 1.0]), v, 1.0, eps)
         assert np.all(np.isfinite(got))
 
-    def test_step_size_validation(self):
-        with pytest.raises(ValueError):
-            newton_step_vector(np.zeros(1), np.zeros(1), np.eye(1), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            newton_step_vector(np.zeros(1), np.zeros(1), np.eye(1), 1.0, 0.0)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            newton_step_vector(np.zeros(2), np.zeros(3), np.eye(2), 1.0, 1.0)
-
 
 class TestNewtonUpdate:
     BOX = ProjectionBox(-5.0, 5.0, 0.1, 8.0)
@@ -277,6 +249,27 @@ class TestNewtonUpdate:
         # family's domain; the projection lands on the largest variance
         out = self.update(np.array([0.0, 10.0]))
         assert out.variance[0] == pytest.approx(8.0, rel=1e-12)
+
+
+class TestStepSeams:
+    """The layer tracer times ``_step``'s kernels by wrapping the engine
+    globals of these names, so ``_step`` must look each one up there."""
+
+    NAMES = ("sample_quantile_threshold", "shape", "normalized_weights",
+             "sufficient_statistics", "expected_sufficient_statistics", "to_natural",
+             "sample_variance_matrix", "newton_step_vector", "_project_raw_natural")
+
+    def test_one_call_per_iteration(self, monkeypatch):
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, _name=name, _fn=getattr(engine, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
+        out = run_gass_cvar_arl(small_config(max_iterations=3), BenchmarkLoss("l0", 2),
+                                RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=10)
+        assert len(out.records) == 3
+        assert calls == dict.fromkeys(self.NAMES, 3)
 
 
 class TestEvaluateCandidates:
@@ -528,7 +521,7 @@ class TestEntryChecks:
 
 
 class TestIntegerCounts:
-    """A count must be an integer: a float is refused, not truncated."""
+    """A count or a seed must be an integer: a float is refused, not truncated."""
 
     LOSS = BenchmarkLoss("l0", 2)
     CASES = {
@@ -542,6 +535,9 @@ class TestIntegerCounts:
             small_config(), loss, 0.9, 5, 0, final_eval_budget=10.5),
         "arl_final_eval_budget": lambda loss: run_gass_cvar_arl(
             small_config(), loss, RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=10.5),
+        "arl_seed": lambda loss: run_gass_cvar_arl(
+            small_config(), loss, RiskSchedule.start(0.0, 0.9), 5, 2.7),
+        "evaluate_seed": lambda loss: evaluate_candidates(loss, [np.zeros(2)], 0.9, 10, 2.7),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -74,6 +74,24 @@ class TestShape:
         flagged = sum(shape(s, gamma, cfg) >= 0.5 for s in scores)
         assert 99 <= flagged <= 101
 
+    @given(
+        scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                        max_size=50),
+        rho=st.floats(0.0, 1.0, exclude_min=True),
+        s_o=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_candidate_weighs_half(self, scores, rho, s_o):
+        # the threshold is one of the scores, so the loop's weights sum to
+        # at least 0.5 and never all vanish; scores far apart may overflow
+        # the logistic's argument to +-inf, which it saturates to 1 or 0
+        x = np.asarray(scores)
+        cfg = ShapeConfig(s_o, rho)
+        with np.errstate(over="ignore"):
+            w = shape(x, sample_quantile_threshold(x, rho), cfg)
+        assert 0.5 in w
+        assert w.sum() >= 0.5
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShapeConfig(s_o=0.0, rho=0.1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvarsearch.streams import candidate_generators, generator, substream
+from cvarsearch.streams import as_seed_sequence, candidate_generators, generator, substream
 
 SeedSequence = np.random.SeedSequence
 
@@ -98,3 +98,20 @@ def test_candidate_generator_cannot_spawn():
     rng = next(candidate_generators(SeedSequence(5), (1,), 0, 1))
     with pytest.raises(TypeError):
         rng.bit_generator.spawn(1)
+
+
+def test_float_seed_and_key_rejected():
+    # a float is refused, never truncated to its integer part
+    with pytest.raises(TypeError):
+        as_seed_sequence(2.7)
+    with pytest.raises(TypeError):
+        substream(SeedSequence(5), 1, 1.5)
+    with pytest.raises(TypeError):
+        candidate_generators(SeedSequence(5), (1.5,), 0, 3)
+
+
+def test_numpy_integer_seed_and_key_accepted():
+    assert as_seed_sequence(np.int64(2)).entropy == 2
+    assert_same_stream(substream(SeedSequence(5), np.int64(1), np.uint32(4)),
+                       substream(SeedSequence(5), 1, 4))
+    assert_candidates_match(SeedSequence(5), (np.int64(1),), 0, 3)
