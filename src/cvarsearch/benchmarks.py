@@ -13,11 +13,13 @@ against dispersion.
 
 One benchmark at one dimension is a ``BenchmarkLoss(benchmark_id, dim)``:
 ``simulate(x, m, rng)`` draws the noisy losses, ``deterministic(x)`` is
-L(x) and ``noise_scale(x)`` is the scale above.
+L(x), ``noise_scale(x)`` is the scale above and ``cvar(x, alpha)`` is the
+exact CVaR at x.  The loss at any point is N(L(x), noise_scale(x)^2), so
+that CVaR is the Gaussian closed form (``risk.gaussian_cvar_oracle``).
 
-For l0 (the quadratic bowl) the per-point loss is exactly Gaussian, so the
-CVaR surface and its global minimum have closed or near-closed forms; the
-other functions serve as harder search targets without analytic optima.
+For l0 (the quadratic bowl) the global minimum of the CVaR surface also
+has a near-closed form; the other functions serve as harder search
+targets without analytic optima.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .risk import gaussian_cvar_oracle
 __all__ = [
     "BENCHMARK_IDS",
     "BenchmarkLoss",
-    "l0_cvar_oracle",
     "l0_min_cvar_oracle",
 ]
 
@@ -156,15 +157,13 @@ class BenchmarkLoss:
         out += base
         return out
 
-
-def l0_cvar_oracle(x, alpha: float) -> float:
-    """Exact CVaR of the noisy l0 loss at x.
-
-    The loss at x is N(sum x^2, noise_scale(x)^2), so its CVaR is the
-    Gaussian closed form.
-    """
-    loss = BenchmarkLoss("l0", np.size(x))
-    return gaussian_cvar_oracle(loss.deterministic(x), loss.noise_scale(x), alpha)
+    def cvar(self, x, alpha: float) -> float:
+        """Exact CVaR at level alpha of the noisy loss at x: the Gaussian
+        closed form L(x) + noise_scale(x) * pdf(ppf(alpha)) / (1 - alpha)."""
+        arr = self._point(x)
+        return gaussian_cvar_oracle(
+            _BENCHMARKS[self.benchmark_id][0](arr), self._scale(arr), alpha
+        )
 
 
 def _l0_profile(t, dim: int, tail_const: float):

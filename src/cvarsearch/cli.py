@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run CONFIG``        run an experiment, write CSVs and a summary;
 * ``benchmark ID X..``  evaluate a benchmark point (loss, noise scale,
-                        and for l0 optionally the CVaR oracle);
+                        and optionally its exact CVaR);
 * ``oracle l0``         the analytic optimum of the noisy quadratic bowl;
 * ``reference CONFIG``  compute (and cache) a config's reference optimum.
 
@@ -19,7 +19,7 @@ import dataclasses
 import sys
 
 from . import harness
-from .benchmarks import BENCHMARK_IDS, BenchmarkLoss, l0_cvar_oracle, l0_min_cvar_oracle
+from .benchmarks import BENCHMARK_IDS, BenchmarkLoss, l0_min_cvar_oracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("id", choices=BENCHMARK_IDS)
     p_bench.add_argument("x", nargs="+", type=float, help="point coordinates")
     p_bench.add_argument("--alpha", type=float, default=None,
-                         help="also print the CVaR oracle (l0 only)")
+                         help="also print the exact CVaR at this level")
 
     p_oracle = sub.add_parser("oracle", help="analytic optimum of a benchmark")
     p_oracle.add_argument("family", choices=["l0"],
@@ -99,16 +99,12 @@ def _usage_errors():
 
 
 def _cmd_benchmark(args) -> int:
-    if args.alpha is not None and args.id != "l0":
-        raise harness.ConfigError(
-            "config key 'alpha': CVaR oracle is only available for l0"
-        )
     with _usage_errors():
         loss = BenchmarkLoss(args.id, len(args.x))
         lines = [f"deterministic_loss={loss.deterministic(args.x)!r}",
                  f"noise_scale={loss.noise_scale(args.x)!r}"]
         if args.alpha is not None:
-            lines.append(f"cvar_oracle={l0_cvar_oracle(args.x, args.alpha)!r}")
+            lines.append(f"cvar_oracle={loss.cvar(args.x, args.alpha)!r}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -69,7 +69,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 from scipy import linalg
 
-from .risk import empirical_cvar
+from .risk import _check_alpha, empirical_cvar
 from .sampling import (
     ProjectionBox,
     SamplingParams,
@@ -307,6 +307,7 @@ def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
+    alpha = _check_alpha(alpha)
     budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -337,13 +337,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     ``workers`` > 1 farms replications out to at most one process each;
     results are identical to the serial run because every replication
     derives its own substreams.  The reference optimum is computed, without
-    a cache, unless passed in.
+    a cache, unless passed in; the ratio curves divide by it, so it must be
+    finite and nonzero.
     """
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if reference_value is None:
         reference_value = emit_reference_run(config)
+    reference_value = float(reference_value)
+    if not (math.isfinite(reference_value) and reference_value != 0.0):
+        raise ValueError(f"reference_value must be finite and nonzero, got {reference_value}")
     reps = range(config.replications)
     # a fork-started pool launches all its workers at the first submit
     workers = min(workers, config.replications)
@@ -353,7 +357,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_replication, config, rep) for rep in reps]
             outcomes = [f.result() for f in futures]
-    return _aggregate(config, float(reference_value), outcomes)
+    return _aggregate(config, reference_value, outcomes)
 
 
 def budget_to_threshold(outcome: ReplicationOutcome, threshold: float) -> int | None:
@@ -410,13 +414,14 @@ def _read_cache(path) -> dict:
     return cache
 
 
-def _write_cache(path, cache: dict):
-    """Replace the cache file atomically: readers see the old or the new
-    file, never a partial one, even if this process dies mid-write."""
+def _write_file(path, write):
+    """Replace the file at path by what ``write(fh)`` writes to an open text
+    file, atomically: readers see the old or the new file, never a partial
+    one, even if this process dies mid-write."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, sort_keys=True, indent=1)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -464,7 +469,7 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
         os.makedirs(cache_dir, exist_ok=True)
         cache = _read_cache(cache_path)
         cache[key] = value
-        _write_cache(cache_path, cache)
+        _write_file(cache_path, lambda fh: json.dump(cache, fh, sort_keys=True, indent=1))
     return value
 
 
@@ -475,7 +480,8 @@ def _fmt(x) -> str:
 
 
 def emit_csv(result: ExperimentResult, out_dir) -> dict[str, str]:
-    """Write iterations.csv, curve.csv, alpha.csv and summary.json.
+    """Write iterations.csv, curve.csv, alpha.csv and summary.json, each
+    replaced atomically.
 
     All content is a pure function of the result, so rewriting the same
     result reproduces the files byte for byte.
@@ -496,7 +502,7 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict[str, str]:
                 f"{outcome.rep},{rec.k},{_fmt(rec.alpha)},{_fmt(rec.grad_norm)},"
                 f"{_fmt(rec.best_cvar_estimate)},{rec.cumulative_loss_evals},{mean_cols}"
             )
-    _write_lines(path, lines)
+    _write_file(path, lambda fh: fh.write("\n".join(lines) + "\n"))
     paths["iterations"] = path
 
     path = os.path.join(out_dir, "curve.csv")
@@ -507,14 +513,14 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict[str, str]:
             f"{_fmt(result.curve_q10_ratio[i])},{_fmt(result.curve_q90_ratio[i])},"
             f"{_fmt(result.curve_mean_value[i])}"
         )
-    _write_lines(path, lines)
+    _write_file(path, lambda fh: fh.write("\n".join(lines) + "\n"))
     paths["curve"] = path
 
     path = os.path.join(out_dir, "alpha.csv")
     lines = ["k,mean_alpha"]
     for k in range(result.alpha_mean.size):
         lines.append(f"{k},{_fmt(result.alpha_mean[k])}")
-    _write_lines(path, lines)
+    _write_file(path, lambda fh: fh.write("\n".join(lines) + "\n"))
     paths["alpha"] = path
 
     path = os.path.join(out_dir, "summary.json")
@@ -537,14 +543,6 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict[str, str]:
         "total_search_evals": sum(d["search_evals"] for d in digests),
         "total_final_evals": sum(d["final_eval_count"] for d in digests),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_file(path, lambda fh: fh.write(json.dumps(summary, sort_keys=True, indent=1) + "\n"))
     paths["summary"] = path
     return paths
-
-
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")

@@ -84,9 +84,8 @@ def gaussian_cvar_oracle(mean: float, sd: float, alpha: float) -> float:
     """Closed-form CVaR of N(mean, sd^2): mean + sd * pdf(z) / (1 - alpha)."""
     alpha = _check_alpha(alpha)
     sd = float(sd)
-    if sd < 0:
-        raise ValueError("sd must be >= 0")
-    if alpha == 0.0:
-        return float(mean)
+    # a finite sd keeps sd * pdf(ppf(0)) = sd * 0 at alpha = 0 from being NaN
+    if not (math.isfinite(sd) and sd >= 0):
+        raise ValueError(f"sd must be finite and >= 0, got {sd}")
     z = stats.norm.ppf(alpha)
     return float(mean) + sd * float(stats.norm.pdf(z)) / (1.0 - alpha)

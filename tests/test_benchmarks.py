@@ -13,9 +13,9 @@ import pytest
 from cvarsearch.benchmarks import (
     BENCHMARK_IDS,
     BenchmarkLoss,
-    l0_cvar_oracle,
     l0_min_cvar_oracle,
 )
+from cvarsearch.engine import evaluate_candidates
 from cvarsearch.risk import gaussian_cvar_oracle
 
 
@@ -221,22 +221,43 @@ class TestLossHandle:
             loss.simulate(np.ones(4), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+class TestExactCvar:
+    # D = 4 is the smallest dimension every benchmark accepts
+    X = np.array([0.5, -0.25, 1.0, 0.75])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95, 0.99])
+    def test_is_gaussian_form(self, benchmark_id, alpha):
+        loss = BenchmarkLoss(benchmark_id, 4)
+        rng = np.random.default_rng(3)
+        for x in [self.X, *rng.uniform(-5.0, 5.0, size=(20, 4))]:
+            want = gaussian_cvar_oracle(loss.deterministic(x), loss.noise_scale(x), alpha)
+            assert loss.cvar(x, alpha) == want
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+    def test_monte_carlo_mean_within_four_standard_errors(self, benchmark_id, alpha):
+        loss = BenchmarkLoss(benchmark_id, 4)
+        estimates = evaluate_candidates(loss, [self.X] * 100, alpha, 10_000, 11)
+        se = estimates.std(ddof=1) / math.sqrt(estimates.size)
+        assert abs(estimates.mean() - loss.cvar(self.X, alpha)) <= 4.0 * se
+
+
 class TestQuadraticOracles:
     def test_cvar_at_point(self):
-        got = l0_cvar_oracle(np.zeros(1), 0.99)
+        got = BenchmarkLoss("l0", 1).cvar(np.zeros(1), 0.99)
         assert got == pytest.approx(26.785071418118026, rel=1e-12)
-        got = l0_cvar_oracle(np.ones(10), 0.99)
+        got = BenchmarkLoss("l0", 10).cvar(np.ones(10), 0.99)
         assert got == pytest.approx(12.665214220345804, rel=1e-12)
 
     def test_cvar_alpha_zero_is_deterministic_loss(self):
         x = np.array([0.3, -1.2, 0.7])
-        assert l0_cvar_oracle(x, 0.0) == loss_value("l0", x)
+        assert BenchmarkLoss("l0", 3).cvar(x, 0.0) == loss_value("l0", x)
 
     def test_cvar_agrees_with_gaussian_form(self):
         x = np.array([0.5, 1.5])
         loss = BenchmarkLoss("l0", 2)
         want = gaussian_cvar_oracle(loss.deterministic(x), loss.noise_scale(x), 0.95)
-        assert l0_cvar_oracle(x, 0.95) == pytest.approx(want, rel=1e-14)
+        assert loss.cvar(x, 0.95) == pytest.approx(want, rel=1e-14)
 
     def test_min_frozen_values(self):
         point, value = l0_min_cvar_oracle(2, 0.95)
@@ -249,10 +270,11 @@ class TestQuadraticOracles:
 
     def test_min_is_global_on_random_probes(self):
         point, value = l0_min_cvar_oracle(3, 0.9)
+        loss = BenchmarkLoss("l0", 3)
         rng = np.random.default_rng(17)
         for _ in range(500):
             x = rng.uniform(-2.0, 3.0, size=3)
-            assert l0_cvar_oracle(x, 0.9) >= value - 1e-9
+            assert loss.cvar(x, 0.9) >= value - 1e-9
 
     def test_min_nondecreasing_in_alpha(self):
         values = [l0_min_cvar_oracle(2, a)[1] for a in (0.0, 0.5, 0.9, 0.99)]

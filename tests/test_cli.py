@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from cvarsearch import harness
-from cvarsearch.benchmarks import l0_min_cvar_oracle
+from cvarsearch.benchmarks import BenchmarkLoss, l0_min_cvar_oracle
 from cvarsearch.cli import main
 
 RUN_KEYS = dict(
@@ -53,9 +53,12 @@ def test_benchmark_with_oracle(capsys):
     assert "cvar_oracle=" in capsys.readouterr().out
 
 
-def test_benchmark_oracle_only_for_l0(capsys):
-    assert main(["benchmark", "levy", "0", "0", "--alpha", "0.9"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_benchmark_exact_cvar_for_any_benchmark(capsys):
+    assert main(["benchmark", "levy", "0", "0", "--alpha", "0.9"]) == 0
+    want = BenchmarkLoss("levy", 2).cvar([0.0, 0.0], 0.9)
+    assert capsys.readouterr().out.splitlines()[-1] == f"cvar_oracle={want!r}"
+    assert main(["benchmark", "levy", "0", "0", "--alpha", "1.0"]) == 2
+    assert "alpha" in capsys.readouterr().err
 
 
 def test_benchmark_dimension_error(capsys):

@@ -506,6 +506,8 @@ class TestEntryChecks:
         "arl_final_eval_budget": lambda loss: run_gass_cvar_arl(
             small_config(max_iterations=5, n_candidates=PowerGrowthSchedule(20, 0.0)),
             loss, RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=0),
+        "evaluate_alpha": lambda loss: evaluate_candidates(
+            loss, np.zeros((300, 2)), 1.0, 500, 0),
         "inner_budget": lambda loss: run_gass_cvar(
             small_config(), loss, 0.9, 0, 0),
         "step_size_a": lambda loss: run_gass_cvar(

@@ -346,6 +346,15 @@ class TestExperiment:
         with pytest.raises(TypeError):
             run_experiment(tiny_config(), workers=2.0, reference_value=1.0)
 
+    @pytest.mark.parametrize("reference", [math.nan, math.inf, 0.0])
+    def test_reference_must_be_finite_and_nonzero(self, reference, monkeypatch):
+        def no_replication(*args):
+            raise AssertionError("replication ran before the reference was checked")
+
+        monkeypatch.setattr(harness, "run_replication", no_replication)
+        with pytest.raises(ValueError, match="reference_value"):
+            run_experiment(tiny_config(), workers=1, reference_value=reference)
+
     @pytest.mark.parametrize("replications,pools", [(3, [3]), (1, [])])
     def test_pool_no_larger_than_replications(self, replications, pools, monkeypatch):
         # a fork-started pool launches every worker at the first submit
@@ -566,6 +575,30 @@ class TestEmission:
             o.search_evals for o in result.outcomes
         )
         assert set(paths) == {"iterations", "curve", "alpha", "summary"}
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        emit_csv(run_experiment(tiny_config(), workers=1, reference_value=1.0), tmp_path)
+        before = (tmp_path / "curve.csv").read_bytes()
+        real_open = open
+
+        def open_failing_curve(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if "curve.csv" in str(path):
+                real_write = fh.write
+
+                def write_half_then_fail(text):
+                    real_write(text[:len(text) // 2])
+                    raise OSError("no space left on device")
+
+                fh.write = write_half_then_fail
+            return fh
+
+        monkeypatch.setattr(harness, "open", open_failing_curve, raising=False)
+        changed = run_experiment(tiny_config(), workers=1, reference_value=2.0)
+        with pytest.raises(OSError):
+            emit_csv(changed, tmp_path)
+        assert (tmp_path / "curve.csv").read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         result = run_experiment(tiny_config(), workers=1, reference_value=1.0)
