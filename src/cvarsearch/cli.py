@@ -9,6 +9,7 @@ Subcommands:
 * ``reference CONFIG``  compute (and cache) a config's reference optimum.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
+An unusable ``--out`` is a usage error, found before any simulation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 
 from . import harness
@@ -72,6 +74,7 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, **overrides)
     if args.workers < 1:
         raise harness.ConfigError("config key 'workers': must be >= 1")
+    _make_out_dir(args.out)
     reference = harness.emit_reference_run(config, cache_dir=args.out)
     result = harness.run_experiment(config, workers=args.workers,
                                     reference_value=reference)
@@ -87,6 +90,15 @@ def _cmd_run(args) -> int:
     for name in ("iterations", "curve", "alpha", "summary"):
         print(f"wrote {paths[name]}")
     return EXIT_OK
+
+
+def _make_out_dir(path):
+    """Create the --out directory before any simulation runs, so that an
+    unusable path is a usage error, not a failure after all the work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise harness.ConfigError(f"--out {path!r}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -119,6 +131,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_reference(args) -> int:
     config = harness.load_config(args.config)
+    _make_out_dir(args.out)
     value = harness.emit_reference_run(config, cache_dir=args.out)
     print(f"reference_value={value!r}")
     return EXIT_OK

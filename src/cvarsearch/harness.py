@@ -239,6 +239,17 @@ def _gass_config(c: ExperimentConfig, mean0: np.ndarray, n_key: str = "n_candida
         )
 
 
+def _search_inputs(c: ExperimentConfig, seq: np.random.SeedSequence,
+                   n_key: str = "n_candidates", cap_key: str = "max_iterations",
+                   ) -> tuple[GassConfig, BenchmarkLoss, np.random.SeedSequence]:
+    """The engine config, the loss and the search seed of a search under
+    ``seq``: the initial mean is uniform on ``substream(seq, 0)``, the search
+    draws from ``substream(seq, 1)``."""
+    mean0 = generator(substream(seq, 0)).uniform(c.mean_init_lo, c.mean_init_hi, c.dim)
+    return (_gass_config(c, mean0, n_key, cap_key), BenchmarkLoss(c.benchmark, c.dim),
+            substream(seq, 1))
+
+
 @dataclass(frozen=True)
 class ReplicationOutcome:
     """One replication's run result under its replication index."""
@@ -261,17 +272,13 @@ def run_replication(config: ExperimentConfig, rep: int) -> ReplicationOutcome:
     rep = operator.index(rep)
     if not 0 <= rep:
         raise ValueError("rep must be >= 0")
-    rep_seq = substream(as_seed_sequence(config.master_seed), rep)
-    rng_init = generator(substream(rep_seq, 0))
-    mean0 = rng_init.uniform(config.mean_init_lo, config.mean_init_hi, config.dim)
-    gcfg = _gass_config(config, mean0)
-    loss = BenchmarkLoss(config.benchmark, config.dim)
+    gcfg, loss, seed = _search_inputs(
+        config, substream(as_seed_sequence(config.master_seed), rep))
     # fixed-level GASS-CVaR is the ramp started at its target
     alpha_init = config.alpha_star if config.algorithm == "gass_cvar" else config.alpha_init
     result = run_gass_cvar_arl(
         gcfg, loss, RiskSchedule.start(alpha_init, config.alpha_star),
-        config.effective_size, substream(rep_seq, 1),
-        final_eval_budget=config.final_eval_budget,
+        config.effective_size, seed, final_eval_budget=config.final_eval_budget,
     )
     return ReplicationOutcome(rep=rep, result=result)
 
@@ -453,15 +460,11 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
             logger.warning("ignoring cached reference value %r in %s: not a finite float",
                            cached, cache_path)
     seed_key = _fields_hash(config, _REFERENCE_SEED_FIELDS)
-    ref_seed = substream(np.random.SeedSequence(int(seed_key[:16], 16)), 0)
-    mean0 = generator(substream(ref_seed, 0)).uniform(
-        config.mean_init_lo, config.mean_init_hi, config.dim
-    )
-    gcfg = _gass_config(config, mean0, "reference_n_candidates", "reference_max_iterations")
-    loss = BenchmarkLoss(config.benchmark, config.dim)
+    gcfg, loss, seed = _search_inputs(
+        config, substream(np.random.SeedSequence(int(seed_key[:16], 16)), 0),
+        "reference_n_candidates", "reference_max_iterations")
     result = run_gass_cvar(
-        gcfg, loss, config.alpha_star, config.reference_inner_budget,
-        substream(ref_seed, 1),
+        gcfg, loss, config.alpha_star, config.reference_inner_budget, seed,
         final_eval_budget=config.reference_inner_budget,
     )
     value = float(result.final_best_cvar)

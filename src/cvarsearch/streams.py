@@ -6,24 +6,20 @@ from the same (seed, key path) are bit-identical no matter in which order or
 in which process they are created, which is what makes serial and parallel
 runs of the same experiment agree byte for byte.
 
-The stream schema is NumPy's own: the stream at a key path is
-``SeedSequence(entropy=root.entropy, spawn_key=path)``.  NumPy seeds its
-pool from one assembled row of uint32 words: the entropy as little-endian
-words, padded with zeros to the pool size of 4 words when the key path is
-non-empty, followed by the words of each key element.  ``substream``
-assembles that row itself and hands it over as the entropy of a key-less
-SeedSequence, which NumPy mixes into the identical pool, so the state and
-every draw are the same.  The child carries its row, and a nested call
-only appends to it.
+The stream schema is NumPy's own: ``substream`` returns
+``SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + path)``.
 
-``candidate_generators`` builds the per-candidate streams of one key
-prefix in one batch, with NumPy's seeding arithmetic written out: the
-SeedSequence hash of the shared row prefix once, in Python ints; the hash
-of each candidate's index words and the 4-word uint64 state, for all
-candidates at once, in integer arrays; PCG64's set-seed step in 128-bit
+Only ``candidate_generators`` writes NumPy's seeding arithmetic out, because
+it runs once per candidate.  It builds the per-candidate streams of one key
+prefix in one batch: the SeedSequence hash of the assembled entropy row
+(the entropy as little-endian uint32 words padded with zeros to the pool
+size of 4 words, then the words of each key element) once, in Python ints;
+the hash of each candidate's index word and the 4-word uint64 state, for
+all candidates at once, in integer arrays; PCG64's set-seed step in 128-bit
 Python ints; and the result assigned to the state of one PCG64.  Every
 stream it yields is bit-identical to NumPy's own construction of the same
-key path, in state and in every draw.
+key path, in state and in every draw.  Candidate indices must be below
+2**32, so that each is one word.
 """
 
 from __future__ import annotations
@@ -74,41 +70,31 @@ def _int_words(n: int) -> list[int]:
 
 
 def _words(value) -> list[int]:
-    # NumPy's coercion of entropy or a key path into uint32 words: a uint32
-    # array as is, an int by _int_words, any other sequence element by
-    # element.  Every SeedSequence has passed this coercion when it was
-    # built, so no other input reaches here.
-    if isinstance(value, np.ndarray) and value.dtype == np.uint32:
-        return value.tolist()
+    # NumPy's coercion of entropy or a key path into uint32 words: an int by
+    # _int_words, any sequence (a uint32 array too) element by element.
+    # Every SeedSequence has passed this coercion when it was built, so no
+    # other input reaches here.
     if isinstance(value, (int, np.integer)):
         return _int_words(int(value))
     return [w for v in value for w in _words(v)]
 
 
-def _row(seq: np.random.SeedSequence, key, keyed: bool) -> list[int]:
-    # NumPy's assembled entropy row of seq extended by key; the entropy is
-    # padded to the pool size when the path is non-empty, or when keyed
-    # says that more key words follow
+def _row(seq: np.random.SeedSequence, key) -> list[int]:
+    # NumPy's assembled entropy row of seq extended by key, before a
+    # candidate index: the entropy padded to the pool size, then the path
     words = _words(seq.entropy)
-    path = _words(seq.spawn_key) if seq.spawn_key else []
-    for k in key:
-        path += _int_words(operator.index(k))
-    if (path or keyed) and len(words) < _POOL_WORDS:
-        words += [0] * (_POOL_WORDS - len(words))
-    return words + path
+    words += [0] * (_POOL_WORDS - len(words))
+    return words + _words(seq.spawn_key + tuple(map(operator.index, key)))
 
 
 def substream(seq: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
     """Child sequence at an explicit key path.
 
     Unlike SeedSequence.spawn this is stateless: the child depends only on
-    the parent's entropy, the parent's own key path, and ``key``.  It
-    equals ``SeedSequence(entropy=seq.entropy, spawn_key=seq.spawn_key +
-    key)`` in pool, state and draws; a negative key element raises
-    ValueError, as NumPy does.
+    the parent's entropy, the parent's own key path, and ``key``.  A
+    negative key element raises ValueError, and a float one TypeError.
     """
-    row = _row(seq, key, keyed=False)
-    return np.random.SeedSequence(entropy=np.array(row, dtype=np.uint32))
+    return np.random.SeedSequence(entropy=seq.entropy, spawn_key=seq.spawn_key + key)
 
 
 def generator(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -185,31 +171,26 @@ def candidate_generators(seq: np.random.SeedSequence, key, first: int, count: in
     Every item is the same Generator, its PCG64 state reset to the next
     candidate's, so a stream is valid until the next item is taken; it
     cannot spawn.  A negative ``first`` or key element raises ValueError,
-    and a float one TypeError, as ``substream`` does.
+    and a float one TypeError, as ``substream`` does.  The indices must be
+    below 2**32: ``first + count > 2**32`` raises ValueError.
     """
     first, count = operator.index(first), operator.index(count)
     if first < 0 or count < 0:
         raise ValueError(f"first and count must be >= 0, got {first} and {count}")
-    pool, h = _prefix_pool(_row(seq, key, keyed=True))
+    if first + count > 1 << 32:
+        raise ValueError(f"candidate indices must be below 2**32, got {first} + {count}")
+    pool, h = _prefix_pool(_row(seq, key))
     return _reset_each(pool, h, first, count)
 
 
 def _reset_each(pool: list[int], h: int, first: int, count: int):
     bit_gen = np.random.PCG64(_Unseeded())
     rng = np.random.Generator(bit_gen)
-    start, stop = first, first + count
-    while start < stop:
-        # the indices below the next multiple of 2**32 share their high
-        # words; their low words are hashed as one array
-        end = min(stop, (start >> 32) + 1 << 32)
-        high = _int_words(start >> 32) if start >> 32 else []
-        lows = np.arange(start & _WORD_MASK, (end - 1 & _WORD_MASK) + 1, dtype=np.uint64)
-        words = _pcg_seeds(pool, h, [lows] + high)
-        for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in words)):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
-            state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK_128
-            bit_gen.state = {"bit_generator": "PCG64",
-                             "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            yield rng
-        start = end
+    words = _pcg_seeds(pool, h, [np.arange(first, first + count, dtype=np.uint64)])
+    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in words)):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK_128
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng

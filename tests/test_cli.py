@@ -27,6 +27,10 @@ RUN_KEYS = dict(
 )
 
 
+# load_config's warning for the constant schedules of RUN_KEYS
+CONSTANT_COUNTS = "ignore:constant candidate and simulation counts:UserWarning"
+
+
 def write_config(tmp_path, **overrides):
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump({**RUN_KEYS, **overrides}, sort_keys=False))
@@ -79,7 +83,7 @@ def test_oracle(capsys):
     assert f"value={want!r}" in out
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -91,7 +95,7 @@ def test_run_writes_outputs(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_replication_override(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -131,7 +135,7 @@ def test_run_unknown_key(tmp_path, capsys):
     assert "'spices'" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_runtime_value_error_is_exit_3(tmp_path, capsys, monkeypatch):
     # a ValueError after the config was accepted is a runtime failure
     def fail(*args, **kwargs):
@@ -143,13 +147,48 @@ def test_run_runtime_value_error_is_exit_3(tmp_path, capsys, monkeypatch):
     assert "losses must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_reference_command(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["reference", str(config), "--out", str(tmp_path / "cache")]) == 0
     out = capsys.readouterr().out
     want = l0_min_cvar_oracle(RUN_KEYS["dim"], RUN_KEYS["alpha_star"])[1]
     assert f"reference_value={want!r}" in out
+
+
+def count_simulate(monkeypatch):
+    calls = []
+    simulate = BenchmarkLoss.simulate
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(BenchmarkLoss, "simulate", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings(CONSTANT_COUNTS)
+def test_run_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypatch):
+    calls = count_simulate(monkeypatch)
+    config = write_config(tmp_path)
+    out = tmp_path / "plain_file"
+    out.write_text("")
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.filterwarnings(CONSTANT_COUNTS)
+def test_reference_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypatch):
+    calls = count_simulate(monkeypatch)
+    config = write_config(tmp_path, benchmark="rosenbrock", reference_n_candidates=6,
+                          reference_inner_budget=50, reference_max_iterations=3)
+    out = tmp_path / "plain_file"
+    out.write_text("")
+    assert main(["reference", str(config), "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.skipif(shutil.which("cvarsearch") is None,

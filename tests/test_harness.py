@@ -169,7 +169,7 @@ class TestConfigFiles:
         config = tiny_config()
         path = tmp_path / "exp.yaml"
         write_config(config, path)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="constant candidate and simulation counts"):
             loaded = load_config(path)
         assert loaded == config
 
@@ -225,7 +225,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestShippedConfigs:
-    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.filterwarnings("ignore:constant candidate and simulation counts:UserWarning")
     def test_full_scale_defaults(self):
         config = load_config(CONFIGS / "paper_full.yaml")
         assert config.benchmark == "l0"
@@ -244,7 +244,7 @@ class TestShippedConfigs:
         assert config.replications == 50
         assert config.final_eval_budget == 100_000
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.filterwarnings("ignore:constant candidate and simulation counts:UserWarning")
     @pytest.mark.parametrize("name", ["desk_l0.yaml", "paper_full.yaml"])
     def test_round_trip_unchanged(self, name, tmp_path):
         config = load_config(CONFIGS / name)

@@ -38,6 +38,15 @@ def test_user_sequence_with_its_own_key(path):
         assert_same_stream(substream(root, *path), want)
 
 
+@pytest.mark.parametrize("path", PATHS, ids=str)
+def test_substream_is_numpy_construction(path):
+    # the child carries the root's entropy and the extended key path
+    for root in (SeedSequence(2**70 + 1), SeedSequence([5, 2**40], spawn_key=(3, 4))):
+        child = substream(root, *path)
+        assert child.entropy == root.entropy
+        assert child.spawn_key == root.spawn_key + path
+
+
 def test_negative_key_rejected():
     with pytest.raises(ValueError):
         SeedSequence(entropy=5, spawn_key=(1, -1))
@@ -75,9 +84,16 @@ def test_candidate_generators_user_sequence_with_its_own_key(path):
 
 
 @pytest.mark.parametrize("count", [4, 40])
-def test_candidate_index_run_crossing_two_words(count):
-    # the index key element grows from one uint32 word to two mid-batch
-    assert_candidates_match(SeedSequence(42), (1, 3), 2**32 - count // 2, count)
+def test_candidate_index_run_ending_at_two_to_the_32(count):
+    # the last index is 2**32 - 1, the largest one-word index
+    assert_candidates_match(SeedSequence(42), (1, 3), 2**32 - count, count)
+
+
+@pytest.mark.parametrize("count", [4, 40])
+def test_candidate_index_run_crossing_two_to_the_32_rejected(count):
+    # refused at the call, before any stream is yielded
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        candidate_generators(SeedSequence(42), (1, 3), 2**32 - count // 2, count)
 
 
 @pytest.mark.parametrize("count", [0, 1])
