@@ -55,14 +55,26 @@ resets one PCG64 per candidate; each stream is bit-identical to NumPy's
 own construction at the same key path.
 
 Memory: candidates are simulated and reduced to CVaR estimates in row
-blocks of at most ``_BLOCK_BYTES``, so a search or re-evaluation holds
-O(block) loss draws at a time, not the O(N_k * M_k) loss matrix.
+blocks, so a search or re-evaluation holds O(block) loss draws at a time,
+not the O(N_k * M_k) loss matrix: at most ``_BLOCK_BYTES`` in total, or
+one row per thread when a row is larger.
+
+Threads: from ``_THREAD_MIN_DRAWS`` draws per candidate, an evaluation
+splits its candidates into contiguous index ranges, one per thread, each
+with its own streams, block and slice of the result; below it, starting
+threads costs more than they save.  The thread count is derived, never
+set: the CPUs the process may run on, capped by the candidate count, and
+lowered in each worker of a process pool so that workers x threads stays
+within the CPUs.  Every row still depends only on its own stream, so no
+value depends on the thread count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -107,9 +119,30 @@ _CANDIDATE_REALM = 0
 _LOSS_REALM = 1
 _FINAL_REALM = 2
 
-# bytes of loss draws held at once (at least one row); the CVaR reduction
-# adds one transient of this size, the partition copy it forms the excess in
+# bytes of loss draws held at once (at least one row per thread); the CVaR
+# reduction adds one transient of this size, the partition copy it forms
+# the excess in
 _BLOCK_BYTES = 1 << 20
+
+# draws per candidate from which an evaluation is split across threads;
+# the break-even measured on a 2-vCPU host is about 2,000
+_THREAD_MIN_DRAWS = 2000
+# threads per evaluation; None is every CPU the process may run on
+_THREADS: int | None = None
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_threads(count: int):
+    """Cap the threads of every later evaluation in this process (a process
+    pool's initializer)."""
+    global _THREADS
+    _THREADS = count
 
 
 class LossModel(Protocol):
@@ -121,6 +154,10 @@ class LossModel(Protocol):
     same generator to the next candidate's stream after the call returns,
     so a loss must draw from it only during the call and must not keep it;
     it cannot spawn.
+
+    From ``_THREAD_MIN_DRAWS`` draws per candidate, ``simulate`` may run on
+    several threads at once, each call with its own generator, so a loss
+    must not change shared state without its own lock.
     """
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray: ...
@@ -275,26 +312,44 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     """CVaR estimate of each candidate in xs from m fresh simulations.
 
     Candidate i draws from the stream of ``substream(seq, *key, first +
-    i)``, all built in one batch by ``candidate_generators``.  Rows are
-    simulated into one reused buffer of at most ``_BLOCK_BYTES``, or of one
-    row when a row is larger, and reduced block by block; each row's
-    estimate depends only on that row, so the values do not depend on the
-    block size.
+    i)``; each index range builds its streams in one batch by
+    ``candidate_generators``.  Rows are simulated into one reused buffer per
+    range, of at most ``_BLOCK_BYTES`` over all ranges or of one row when a
+    row is larger, and reduced block by block; each row's estimate depends
+    only on that row, so the values depend neither on the block size nor on
+    the split into ranges.  From ``_THREAD_MIN_DRAWS`` draws the ranges are
+    contiguous, one per thread, and the calling thread takes the first; an
+    error in the lowest failing range reaches the caller after every thread
+    has finished.
     """
     n = len(xs)
-    rows = max(1, min(n, _BLOCK_BYTES // (8 * m)))
-    block = np.empty((rows, m))
+    threads = min(n, _THREADS or _cpu_count()) if m >= _THREAD_MIN_DRAWS else 1
+    rows = max(1, _BLOCK_BYTES // threads // (8 * m))
     out = np.empty(n)
-    rngs = candidate_generators(seq, key, first, n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        for i in range(start, stop):
-            draws = loss.simulate(xs[i], m, next(rngs))
-            if np.shape(draws) != (m,):
-                raise ValueError(
-                    f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
-            block[i - start] = draws
-        out[start:stop] = empirical_cvar(block[:stop - start], alpha)
+
+    def fill(lo: int, hi: int):
+        rngs = candidate_generators(seq, key, first + lo, hi - lo)
+        block = np.empty((min(rows, hi - lo), m))
+        for start in range(lo, hi, len(block)):
+            stop = min(start + len(block), hi)
+            for i in range(start, stop):
+                draws = loss.simulate(xs[i], m, next(rngs))
+                if np.shape(draws) != (m,):
+                    raise ValueError(
+                        f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
+                block[i - start] = draws
+            out[start:stop] = empirical_cvar(block[:stop - start], alpha)
+
+    if threads == 1:
+        fill(0, n)
+        return out
+    bounds = [n * t // threads for t in range(threads + 1)]
+    # created per call, so that no thread outlives it (a process pool forks)
+    with ThreadPoolExecutor(threads - 1) as pool:
+        rest = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        fill(bounds[0], bounds[1])
+        for future in rest:
+            future.result()
     return out
 
 

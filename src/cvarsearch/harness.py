@@ -46,6 +46,8 @@ from .engine import (
     PowerGrowthSchedule,
     PowerLawStepSize,
     RunResult,
+    _cpu_count,
+    _set_threads,
     run_gass_cvar,
     run_gass_cvar_arl,
 )
@@ -341,11 +343,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
                    reference_value: float | None = None) -> ExperimentResult:
     """All replications plus aggregation.
 
-    ``workers`` > 1 farms replications out to at most one process each;
-    results are identical to the serial run because every replication
-    derives its own substreams.  The reference optimum is computed, without
-    a cache, unless passed in; the ratio curves divide by it, so it must be
-    finite and nonzero.
+    ``workers`` > 1 farms replications out to at most one process each,
+    and divides the CPUs among them: each process evaluates on at most
+    ``max(1, cpus // workers)`` threads.  Results are identical to the
+    serial run because every replication derives its own substreams.  The
+    reference optimum is computed, without a cache, unless passed in; the
+    ratio curves divide by it, so it must be finite and nonzero.
     """
     workers = operator.index(workers)
     if workers < 1:
@@ -361,7 +364,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     if workers == 1:
         outcomes = [run_replication(config, rep) for rep in reps]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
+                                 initargs=(max(1, _cpu_count() // workers),)) as pool:
             futures = [pool.submit(run_replication, config, rep) for rep in reps]
             outcomes = [f.result() for f in futures]
     return _aggregate(config, reference_value, outcomes)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvarsearch import engine
 from cvarsearch.benchmarks import BenchmarkLoss, l0_min_cvar_oracle
 from cvarsearch.engine import (
     GRAD_THRESHOLD,
@@ -299,6 +300,25 @@ def test_criterion_7_determinism_across_workers(tmp_path):
     same = [name for name in names if blobs[1][name] == blobs[8][name]]
     ok = len(same) == len(names)
     report(7, ok, f"byte-identical files at workers 1 vs 8: {len(same)}/{len(names)}")
+
+
+def test_criterion_7_determinism_across_threads(tmp_path, monkeypatch):
+    # the desk run's re-evaluations (final_eval_budget draws each) are the
+    # evaluations large enough to be split across threads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = load_config(CONFIGS / "desk_l0.yaml")
+    oracle = emit_reference_run(config)
+    names = ("iterations.csv", "curve.csv", "alpha.csv", "summary.json")
+    blobs = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(engine, "_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        emit_csv(run_experiment(config, workers=1, reference_value=oracle), out)
+        blobs[threads] = {name: (out / name).read_bytes() for name in names}
+    same = [name for name in names if blobs[1][name] == blobs[2][name]]
+    ok = len(same) == len(names)
+    report(7, ok, f"byte-identical desk files at threads 1 vs 2: {len(same)}/{len(names)}")
 
 
 def test_criterion_8_reference_substitution():

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -376,14 +378,24 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("n,m", [c for c in BLOCK_CASES if c[0] >= 2])
     @pytest.mark.parametrize("alpha", [0.0, 0.95])
     def test_search_matches_one_at_a_time(self, n, m, alpha, monkeypatch):
-        estimates = record_estimates(monkeypatch)
-        loss = RecordingLoss(2)
+        # threads evaluate candidates out of order, so the estimates are
+        # taken by position from the update and the candidates re-drawn
+        # from iteration 0's candidate stream
+        steps = []
+
+        def recording_step(params, xs, cvars, k, config):
+            steps.append(cvars)
+            return step(params, xs, cvars, k, config)
+
+        step = engine._step
+        monkeypatch.setattr(engine, "_step", recording_step)
         config = small_config(n_candidates=PowerGrowthSchedule(n, 0.0), max_iterations=1)
-        run_gass_cvar(config, loss, alpha, m, 19, final_eval_budget=10)
-        searched = np.hstack(estimates)[:n]
-        want = _one_at_a_time(loss.inner, loss.points[:n], alpha, m,
-                              as_seed_sequence(19), engine._LOSS_REALM, 0)
-        assert np.array_equal(searched, want)
+        run_gass_cvar(config, self.LOSS, alpha, m, 19, final_eval_budget=10)
+        seq = as_seed_sequence(19)
+        xs = sample(config.init_params, n,
+                    generator(substream(seq, engine._CANDIDATE_REALM, 0)))
+        want = _one_at_a_time(self.LOSS, xs, alpha, m, seq, engine._LOSS_REALM, 0)
+        assert np.array_equal(steps[0], want)
 
     def test_search_memory_is_bounded_by_the_block(self):
         # the 400 x 5000 loss matrix alone would take 16 MB
@@ -397,6 +409,89 @@ class TestBlockedEvaluation:
         finally:
             tracemalloc.stop()
         assert peak <= 8_000_000
+
+
+class ShortAtLoss:
+    """Benchmark loss that returns one draw, not m, at the candidate whose
+    first coordinate is ``short_at``, and records the thread it did so on."""
+
+    def __init__(self, dim, short_at):
+        self.inner = BenchmarkLoss("l0", dim)
+        self.short_at = short_at
+        self.short_thread = None
+
+    def simulate(self, x, m, rng):
+        if x[0] == self.short_at:
+            self.short_thread = threading.get_ident()
+            return np.zeros(1)
+        return self.inner.simulate(x, m, rng)
+
+
+# (n, m): several blocks with a short last one in every range, n at most the
+# thread count, one candidate, and m just below and at the break-even
+THREAD_CASES = BLOCK_CASES[:1] + [
+    (2, 5000),
+    (1, 5000),
+    (7, engine._THREAD_MIN_DRAWS - 1),
+    (7, engine._THREAD_MIN_DRAWS),
+]
+
+
+def record_ranges(monkeypatch) -> list:
+    """Collect (first index, count, on the calling thread) of every index
+    range the engine builds streams for."""
+    ranges = []
+    caller = threading.get_ident()
+
+    def recording_generators(seq, key, first, count):
+        ranges.append((first, count, threading.get_ident() == caller))
+        return build(seq, key, first, count)
+
+    build = engine.candidate_generators
+    monkeypatch.setattr(engine, "candidate_generators", recording_generators)
+    return ranges
+
+
+def expected_ranges(n, threads):
+    """Contiguous ranges, one per thread; the calling thread takes the first."""
+    bounds = [n * t // threads for t in range(threads + 1)]
+    return [(lo, hi - lo, t == 0) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+
+class TestThreadedEvaluation:
+    LOSS = BenchmarkLoss("l0", 2)
+
+    @pytest.mark.parametrize("n,m", THREAD_CASES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.95])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_matches_one_at_a_time(self, n, m, alpha, threads, monkeypatch):
+        monkeypatch.setattr(engine, "_THREADS", threads)
+        ranges = record_ranges(monkeypatch)
+        xs = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 2))
+        got = evaluate_candidates(self.LOSS, xs, alpha, m, 11)
+        want = _one_at_a_time(self.LOSS, xs, alpha, m, as_seed_sequence(11))
+        assert np.array_equal(got, want)
+        split = m >= engine._THREAD_MIN_DRAWS
+        assert sorted(ranges) == expected_ranges(n, min(n, threads) if split else 1)
+
+    def test_thread_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        ranges = record_ranges(monkeypatch)
+        xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5, 2))
+        evaluate_candidates(self.LOSS, xs, 0.9, engine._THREAD_MIN_DRAWS, 11)
+        assert sorted(ranges) == expected_ranges(5, 3)
+
+    @pytest.mark.parametrize("bad", [0, 3], ids=["calling_range", "worker_range"])
+    def test_short_draws_reach_the_caller(self, bad, monkeypatch):
+        monkeypatch.setattr(engine, "_THREADS", 2)
+        xs = np.arange(8.0).reshape(4, 2)
+        loss = ShortAtLoss(2, short_at=xs[bad, 0])
+        m = engine._THREAD_MIN_DRAWS
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=re.escape(f"shape (1,), expected ({m},)")):
+            evaluate_candidates(loss, xs, 0.9, m, 0)
+        assert threading.active_count() == before
+        assert (loss.short_thread == threading.get_ident()) == (bad == 0)
 
 
 class TestFixedLevelRun:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cvarsearch import harness
+from cvarsearch import engine, harness
 from cvarsearch.benchmarks import BenchmarkLoss, l0_min_cvar_oracle
 from cvarsearch.engine import evaluate_candidates
 from cvarsearch.harness import (
@@ -44,6 +45,30 @@ TINY = dict(
 
 def tiny_config(**overrides):
     return ExperimentConfig(**{**TINY, **overrides})
+
+
+def inline_pools(monkeypatch) -> list:
+    """Replace the harness's process pool by one that records its arguments,
+    starts no process and runs each task inline, without the initializer."""
+    made = []
+
+    class InlinePool:
+        def __init__(self, **kwargs):
+            made.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return made
 
 
 def write_config(config: ExperimentConfig, path):
@@ -358,28 +383,26 @@ class TestExperiment:
     @pytest.mark.parametrize("replications,pools", [(3, [3]), (1, [])])
     def test_pool_no_larger_than_replications(self, replications, pools, monkeypatch):
         # a fork-started pool launches every worker at the first submit
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        made = inline_pools(monkeypatch)
         config = tiny_config(replications=replications)
         result = run_experiment(config, workers=64, reference_value=1.0)
-        assert sizes == pools
+        assert [pool["max_workers"] for pool in made] == pools
         assert [o.rep for o in result.outcomes] == list(range(replications))
+
+    @pytest.mark.parametrize("cpus,workers,threads",
+                             [(8, 2, 4), (8, 3, 2), (7, 2, 3), (2, 2, 1), (2, 3, 1), (1, 3, 1)])
+    def test_pool_processes_share_the_cpus(self, cpus, workers, threads, monkeypatch):
+        # workers x threads never exceeds the CPUs the process may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        made = inline_pools(monkeypatch)
+        run_experiment(tiny_config(), workers=workers, reference_value=1.0)
+        (pool,) = made
+        assert pool["initargs"] == (threads,)
+        # the initializer, run where a pool process would run it
+        monkeypatch.setattr(engine, "_THREADS", None)
+        pool["initializer"](*pool["initargs"])
+        assert engine._THREADS == threads
 
     def test_ratio_above_one_below_a_negative_reference(self):
         # every best lies far above -100, so every ratio must read worse than 1
