@@ -29,7 +29,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .risk import gaussian_cvar_oracle
 
@@ -166,35 +165,27 @@ class BenchmarkLoss:
         )
 
 
-def _l0_profile(t, dim: int, tail_const: float):
-    # CVaR along the symmetric ray x = t * ones; t a scalar or a grid
-    return dim * t * t + np.sqrt(1.0 + 100.0 * dim * (t - 1.0) ** 2) * tail_const
-
-
 def l0_min_cvar_oracle(dim: int, alpha: float) -> tuple[np.ndarray, float]:
     """Global minimum of the l0 CVaR surface: (argmin point, value).
 
     For fixed distance to the noise centre, the quadratic term is minimized
-    on the all-equal ray, so the problem reduces to one dimension.  That
-    profile is scanned on a dense grid over t in [-0.5, 1.5] and refined to
-    1e-6 around the best cell.
+    on the all-equal ray x = t * ones, so the problem reduces to the
+    strictly convex profile D t^2 + c sqrt(1 + 100 D (t - 1)^2), with c the
+    standard normal CVaR at alpha.  Its minimizer lies in [0, 1]; the sign
+    of its slope is bisected there to machine precision.  At alpha = 0,
+    c = 0 and the minimum is the origin.
     """
     dim = operator.index(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    tail_const = gaussian_cvar_oracle(0.0, 1.0, alpha)
-    grid = np.linspace(-0.5, 1.5, 100_001)
-    values = _l0_profile(grid, dim, tail_const)
-    i = int(np.argmin(values))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(grid.size - 1, i + 1)]
-    res = optimize.minimize_scalar(
-        _l0_profile, bounds=(lo, hi), args=(dim, tail_const), method="bounded",
-        options={"xatol": 1e-9},
-    )
-    t, value = (float(res.x), float(res.fun))
-    if value > values[i]:
-        t, value = float(grid[i]), float(values[i])
-    return np.full(dim, t), value
+    c = gaussian_cvar_oracle(0.0, 1.0, alpha)  # checks alpha
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while lo < mid < hi:
+        gap = mid - 1.0
+        if 2.0 * mid + 100.0 * c * gap / math.sqrt(1.0 + 100.0 * dim * gap**2) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    value = dim * lo * lo + math.sqrt(1.0 + 100.0 * dim * (lo - 1.0) ** 2) * c
+    return np.full(dim, lo), value

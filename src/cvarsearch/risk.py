@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 __all__ = ["empirical_var", "empirical_cvar", "gaussian_cvar_oracle"]
 
@@ -87,5 +87,8 @@ def gaussian_cvar_oracle(mean: float, sd: float, alpha: float) -> float:
     # a finite sd keeps sd * pdf(ppf(0)) = sd * 0 at alpha = 0 from being NaN
     if not (math.isfinite(sd) and sd >= 0):
         raise ValueError(f"sd must be finite and >= 0, got {sd}")
-    z = stats.norm.ppf(alpha)
-    return float(mean) + sd * float(stats.norm.pdf(z)) / (1.0 - alpha)
+    # the standard normal pdf at its alpha-quantile, evaluated as
+    # scipy.stats.norm does it, without loading scipy.stats
+    z = ndtri(alpha)
+    pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+    return float(mean) + sd * float(pdf) / (1.0 - alpha)

@@ -242,6 +242,24 @@ class TestExactCvar:
         assert abs(estimates.mean() - loss.cvar(self.X, alpha)) <= 4.0 * se
 
 
+L0_MIN_ALPHAS = (0.0, 0.5, 0.9, 0.95, 0.99)
+# float.hex of the l0 CVaR minimum at L0_MIN_ALPHAS, found by the earlier
+# method: the best of a 100,001-point profile grid over [-0.5, 1.5] and a
+# bounded Brent search (xatol 1e-9) around that grid point
+L0_MIN_GRID_BRENT = {
+    1: ("0x0.0p+0", "0x1.c5e787833a23fp+0", "0x1.5f30e83644ba8p+1", "0x1.86cb95c459173p+1",
+        "0x1.d4315718a8be1p+1"),
+    2: ("0x0.0p+0", "0x1.5face81ee70f4p+1", "0x1.ddbc28ce2d70ep+1", "0x1.02c75ebbefe8ap+2",
+        "0x1.299e21b681b5ap+2"),
+    3: ("0x0.0p+0", "0x1.dc4a052154740p+1", "0x1.2e2280a919f21p+2", "0x1.4228358cc3a86p+2",
+        "0x1.692340709c9aep+2"),
+    10: ("0x0.0p+0", "0x1.500e4bf033995p+3", "0x1.746edb26e15b7p+3", "0x1.7edc41357b20cp+3",
+         "0x1.92dea4579113cp+3"),
+    50: ("0x0.0p+0", "0x1.4421975ed8cc2p+5", "0x1.98745349919b4p+5", "0x1.9c14fd56434f2p+5",
+         "0x1.a21a7d82777e3p+5"),
+}
+
+
 class TestQuadraticOracles:
     def test_cvar_at_point(self):
         got = BenchmarkLoss("l0", 1).cvar(np.zeros(1), 0.99)
@@ -289,3 +307,32 @@ class TestQuadraticOracles:
         # mean objective: quadratic alone, minimised at zero
         np.testing.assert_allclose(point, np.zeros(4), atol=1e-6)
         assert abs(value) < 1e-10
+        assert np.array_equal(point, np.zeros(4)) and value == 0.0
+
+    def test_min_exact_pins(self):
+        # the shipped desk (D = 2, alpha* = 0.95) and paper (D = 10,
+        # alpha* = 0.99) references: 4.04341858247029 and 12.589677973774648
+        assert l0_min_cvar_oracle(2, 0.95)[1].hex() == "0x1.02c75ebbefe8ap+2"
+        assert l0_min_cvar_oracle(10, 0.99)[1].hex() == "0x1.92dea4579113cp+3"
+
+    @pytest.mark.parametrize("dim", sorted(L0_MIN_GRID_BRENT))
+    @pytest.mark.parametrize("i, alpha", enumerate(L0_MIN_ALPHAS))
+    def test_min_matches_grid_and_brent_search(self, dim, i, alpha):
+        want = float.fromhex(L0_MIN_GRID_BRENT[dim][i])
+        value = l0_min_cvar_oracle(dim, alpha)[1]
+        assert abs(value - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("dim", sorted(L0_MIN_GRID_BRENT))
+    @pytest.mark.parametrize("alpha", L0_MIN_ALPHAS)
+    def test_min_no_higher_than_profile_grid(self, dim, alpha):
+        c = gaussian_cvar_oracle(0.0, 1.0, alpha)
+        t = np.linspace(-0.5, 1.5, 100_001)
+        profile = dim * t * t + np.sqrt(1.0 + 100.0 * dim * (t - 1.0) ** 2) * c
+        point, value = l0_min_cvar_oracle(dim, alpha)
+        assert value <= np.nextafter(profile.min(), np.inf)
+        assert 0.0 <= point[0] <= 1.0
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, math.nan])
+    def test_min_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+            l0_min_cvar_oracle(2, alpha)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from cvarsearch.risk import empirical_cvar, empirical_var, gaussian_cvar_oracle
 
@@ -187,3 +188,21 @@ class TestGaussianOracle:
     def test_negative_sd_rejected(self):
         with pytest.raises(ValueError):
             gaussian_cvar_oracle(0.0, -1.0, 0.9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-12, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-9])
+    @pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (1.25, 3.0), (-7.5, 0.1),
+                                          (1e3, 42.0), (2.0, 0.0)])
+    def test_bit_identical_to_scipy_stats_norm(self, mean, sd, alpha):
+        # the closed form as scipy.stats.norm evaluates it, which the package
+        # no longer imports
+        want = mean + sd * stats.norm.pdf(stats.norm.ppf(alpha)) / (1.0 - alpha)
+        assert gaussian_cvar_oracle(mean, sd, alpha).hex() == float(want).hex()
+
+    def test_bit_identical_to_scipy_stats_norm_on_random_levels(self):
+        rng = np.random.default_rng(29)
+        alphas = np.concatenate([rng.uniform(0.0, 1.0, 200),
+                                 1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 100)])
+        for alpha in alphas:
+            mean, sd = rng.normal(0.0, 10.0), rng.exponential(5.0)
+            want = mean + sd * stats.norm.pdf(stats.norm.ppf(alpha)) / (1.0 - alpha)
+            assert gaussian_cvar_oracle(mean, sd, alpha).hex() == float(want).hex()
