@@ -20,9 +20,13 @@ inputs already guarantee them:
 - the shape values lie in [0, 1]: ``empirical_cvar`` refuses non-finite
   losses, ``sample_quantile_threshold`` and ``shape`` refuse non-finite
   scores, and ``shape``'s logistic maps the rest into [0, 1]; the
-  candidate at the threshold weighs expit(0) = 0.5, so their sum is at
-  least 0.5;
+  candidate at the threshold weighs the logistic's 0.5 at 0, so their sum
+  is at least 0.5;
 - ``PowerGrowthSchedule`` keeps N_k >= 2, as the sample variance needs;
+- the sample variance matrix is symmetric positive semi-definite, and
+  singular when N_k <= 2 D; the Newton step solves through its
+  eigendecomposition with the eigenvalues floored at 0 before epsilon is
+  added, so it is finite for every N_k >= 2 and has no fallback;
 - ``PowerLawStepSize`` makes the step size positive and finite, and
   ``GassConfig`` the epsilon;
 - every array shape derives from the family's parameters.
@@ -79,7 +83,6 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .risk import _check_alpha, empirical_cvar
 from .sampling import (
@@ -293,17 +296,16 @@ def newton_step_vector(theta: np.ndarray, grad: np.ndarray, var_matrix: np.ndarr
     """Pre-projection update theta + step * (var_matrix + eps I)^-1 grad.
 
     Requires float arrays theta and grad of shape (p,), a symmetric
-    var_matrix of shape (p, p), and a positive finite step size and
-    epsilon.  The regularized system is then symmetric positive definite
-    by construction; it is solved by Cholesky, with a symmetric-indefinite
-    solve as the fallback for matrices whose smallest eigenvalue sits
-    within round-off of -epsilon.
+    positive semi-definite var_matrix of shape (p, p), and a positive
+    finite step size and epsilon.  The system is solved through one
+    eigendecomposition var_matrix = Q diag(w) Q^T as
+    Q ((Q^T grad) / (max(w, 0) + eps)): eigenvalues that round-off pushes
+    below zero count as zero, so every divisor is at least eps.  The step
+    is then finite even when the matrix is singular, as it is with no more
+    candidates than statistics, and there is no second path.
     """
-    a = var_matrix + epsilon * np.eye(len(theta))
-    try:
-        direction = linalg.cho_solve(linalg.cho_factor(a, lower=True), grad)
-    except linalg.LinAlgError:
-        direction = linalg.solve(a, grad, assume_a="sym")
+    w, q = np.linalg.eigh(var_matrix)
+    direction = q @ ((q.T @ grad) / (np.maximum(w, 0.0) + epsilon))
     return theta + step_size * direction
 
 

@@ -394,7 +394,7 @@ _REFERENCE_SEED_FIELDS = (
 # every field that reaches the reference run; the cache key hashes these
 _REFERENCE_FIELDS = _REFERENCE_SEED_FIELDS + ("grad_norm_stop", "n_growth_exponent")
 # bump when the reference run changes for an unchanged config
-_REFERENCE_SCHEMA = 2
+_REFERENCE_SCHEMA = 3
 
 
 def _fields_hash(config: ExperimentConfig, fields, **extra) -> str:

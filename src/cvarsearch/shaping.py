@@ -13,9 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = ["ShapeConfig", "sample_quantile_threshold", "shape"]
+
+# the logistic is exactly 1.0 from about t = 36.7, where exp(-t) falls to
+# half an ulp of 1, and exactly 0.0 below about t = -709.8, where exp(-t)
+# overflows; these bounds lie safely inside both
+_ONE_FROM = 40.0
+_ZERO_TO = -710.0
 
 
 @dataclass(frozen=True)
@@ -53,13 +58,26 @@ def sample_quantile_threshold(scores, rho: float) -> float:
 def shape(score, gamma: float, config: ShapeConfig):
     """Logistic 1 / (1 + exp(-s_o (score - gamma))), elementwise.
 
-    Evaluated through a branchwise-stable logistic, so the steep default
-    slope saturates cleanly to 0 or 1 instead of overflowing.
+    Bit for bit ``scipy.special.expit``: the same formula on the C
+    library's ``exp``, which ``math.exp`` calls, with an overflowing
+    ``exp(-t)`` giving 0.  Under the steep default slope almost every entry
+    saturates to exactly 0 or 1, so only the others are evaluated, one by
+    one.
     """
     s = np.asarray(score, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("score must be finite")
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    out = expit(config.s_o * (s - gamma))
-    return float(out) if np.isscalar(score) or s.ndim == 0 else out
+    t = config.s_o * (s.reshape(-1) - gamma)
+    out = np.where(t > 0.0, 1.0, 0.0)
+    for i in np.flatnonzero((t > _ZERO_TO) & (t < _ONE_FROM)):
+        out[i] = _logistic(float(t[i]))
+    return float(out[0]) if np.isscalar(score) or s.ndim == 0 else out.reshape(s.shape)
+
+
+def _logistic(t: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0

@@ -234,6 +234,14 @@ class TestNewtonStep:
         assert np.all(np.isfinite(got))
 
 
+def test_newton_step_counts_negative_eigenvalues_as_zero():
+    # round-off can leave an eigenvalue of a singular variance matrix below
+    # -epsilon; counted as zero, it neither flips nor blows up the step
+    eps = 1e-10
+    got = newton_step_vector(np.zeros(2), np.array([1.0, 1.0]), np.diag([-1e-6, 1.0]), 1.0, eps)
+    np.testing.assert_allclose(got, [1.0 / eps, 1.0 / (1.0 + eps)], rtol=1e-12)
+
+
 class TestNewtonUpdate:
     BOX = ProjectionBox(-5.0, 5.0, 0.1, 8.0)
 

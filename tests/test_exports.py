@@ -23,8 +23,8 @@ def test_all_names_resolve(name):
 
 
 # Run in a fresh interpreter: the CLI import, both oracles, an l0 experiment
-# and a non-l0 reference search, then report which of the two SciPy
-# subpackages the package no longer uses got loaded anyway.
+# and a non-l0 reference search, then report which SciPy modules got
+# loaded: of scipy.stats and scipy.optimize, and of all of SciPy.
 _IMPORT_GRAPH_RUN = """
 import json, sys
 import numpy as np
@@ -44,11 +44,13 @@ reference = emit_reference_run(ExperimentConfig(**dict(
     reference_inner_budget=50, reference_max_iterations=2)), cache_dir=sys.argv[1])
 loaded = sorted(m for m in sys.modules
                 if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"]))
-print(json.dumps({"ran": [oracle, exact, len(result.outcomes), reference], "loaded": loaded}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"ran": [oracle, exact, len(result.outcomes), reference], "loaded": loaded,
+                  "scipy": scipy}))
 """
 
 
-def test_no_scipy_stats_or_optimize_loaded(tmp_path):
+def _import_graph_report(tmp_path) -> dict:
     src = str(Path(cvarsearch.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -57,4 +59,13 @@ def test_no_scipy_stats_or_optimize_loaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert all(math.isfinite(v) for v in report["ran"])
-    assert report["loaded"] == []
+    return report
+
+
+def test_no_scipy_stats_or_optimize_loaded(tmp_path):
+    assert _import_graph_report(tmp_path)["loaded"] == []
+
+
+def test_no_scipy_loaded(tmp_path):
+    # SciPy is a test dependency only; the package runs on NumPy and PyYAML
+    assert _import_graph_report(tmp_path)["scipy"] == []

@@ -340,6 +340,17 @@ class TestExperiment:
         np.testing.assert_array_equal(serial.curve_evals, parallel.curve_evals)
         np.testing.assert_array_equal(serial.curve_mean_ratio, parallel.curve_mean_ratio)
 
+    @pytest.mark.parametrize("name", ["l0", "rosenbrock"])
+    def test_no_more_candidates_than_statistics(self, name):
+        # N = 2 <= 2 D candidates leave the statistics' sample variance
+        # matrix singular; every Newton step must still finish, without a
+        # warning, which this suite's settings turn into an error
+        config = tiny_config(benchmark=name, n_candidates=2, max_iterations=50,
+                             replications=1, master_seed=1)
+        (outcome,) = run_experiment(config, workers=1, reference_value=1.0).outcomes
+        assert len(outcome.result.records) == 50
+        assert math.isfinite(outcome.result.final_best_cvar)
+
     def test_curve_shapes_and_ratio(self):
         config = tiny_config()
         result = run_experiment(config, workers=1, reference_value=2.0)
@@ -570,6 +581,18 @@ class TestReference:
             emit_reference_run(dataclasses.replace(config, rho=0.2), cache_dir=tmp_path)
         assert cache_path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["reference_cache.json"]
+
+    def test_entry_of_an_older_schema_misses(self, tmp_path):
+        # the Newton solve changed with schema 3 and moved non-l0 references
+        # in their last bits, so a value cached under schema 2 is not served
+        config = self.search_config()
+        want = emit_reference_run(config)
+        old_key = harness._fields_hash(config, harness._REFERENCE_FIELDS, schema=2)
+        assert old_key != harness._reference_key(config)
+        cache_path = tmp_path / "reference_cache.json"
+        cache_path.write_text(json.dumps({old_key: 123.0}))
+        assert emit_reference_run(config, cache_dir=tmp_path) == want
+        assert json.loads(cache_path.read_text())[harness._reference_key(config)] == want
 
 
 class TestEmission:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import stats
+from scipy import special, stats
 
-from cvarsearch.risk import empirical_cvar, empirical_var, gaussian_cvar_oracle
+from cvarsearch.risk import _ndtri, empirical_cvar, empirical_var, gaussian_cvar_oracle
 
 losses_1d = arrays(
     np.float64,
@@ -17,7 +17,8 @@ losses_1d = arrays(
 
 
 def clip_cvar(losses, alpha):
-    """Reference CVaR reduction: np.clip over a fresh excess array."""
+    """Reference CVaR reduction: np.clip over a fresh excess array, kept
+    within the sample's range against round-off."""
     arr = np.asarray(losses, dtype=float)
     if alpha == 0.0:
         out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
@@ -26,7 +27,7 @@ def clip_cvar(losses, alpha):
     j = max(1, math.ceil(alpha * m))
     v = np.partition(arr, j - 1, axis=-1)[..., j - 1]
     excess = np.clip(arr - v[..., None], 0.0, None)
-    out = v + excess.sum(axis=-1) / (m * (1.0 - alpha))
+    out = np.minimum(v + excess.sum(axis=-1) / (m * (1.0 - alpha)), arr.max(axis=-1))
     return float(out) if arr.ndim == 1 else out
 
 
@@ -99,6 +100,12 @@ class TestEmpiricalCvar:
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_max(self, x, alpha):
         assert empirical_cvar(x, alpha) <= x.max() + 1e-9 * abs(x.max())
+
+    def test_round_off_clamped_to_max(self):
+        # v + excess / (M (1 - alpha)) = -1 + 1 = 0.0 here, above the maximum
+        x = np.array([-3.349046170511166e-193, -1.0])
+        assert empirical_cvar(x, 0.5) <= x.max()
+        assert np.all(empirical_cvar(np.stack([x, x[::-1]]), 0.5) <= x.max())
 
     @given(
         x=losses_1d,
@@ -206,3 +213,56 @@ class TestGaussianOracle:
             mean, sd = rng.normal(0.0, 10.0), rng.exponential(5.0)
             want = mean + sd * stats.norm.pdf(stats.norm.ppf(alpha)) / (1.0 - alpha)
             assert gaussian_cvar_oracle(mean, sd, alpha).hex() == float(want).hex()
+
+
+def _neighbours(x: float, n: int) -> list[float]:
+    """x and its n nearest floats on each side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestNdtri:
+    """``risk._ndtri`` against ``scipy.special.ndtri``, which it ports."""
+
+    EXP_M2 = 0.13533528323661269189
+    # the median branch ends at exp(-2) on each side, and the tail switches
+    # its polynomials at x = sqrt(-2 log p) = 8, i.e. p = exp(-32)
+    EDGES = (EXP_M2, 1.0 - EXP_M2, math.exp(-32.0), 1.0 - math.exp(-32.0), 0.5,
+             5e-324, 2.2250738585072014e-308, 1e-300, 1.0 - 2.0 ** -53)
+
+    @staticmethod
+    def assert_identical(levels):
+        got = np.array([_ndtri(float(p)) for p in levels])
+        want = special.ndtri(np.asarray(levels, dtype=float))
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, [(levels[i], got[i], want[i]) for i in bad[:5]]
+
+    def test_ends(self):
+        assert _ndtri(0.0) == -math.inf
+        assert _ndtri(1.0) == math.inf
+        self.assert_identical([0.0, 1.0, 0.5, math.nextafter(0.0, 1.0),
+                               math.nextafter(1.0, 0.0)])
+
+    def test_branch_edges(self):
+        levels = [p for edge in self.EDGES for p in _neighbours(edge, 64) if 0.0 <= p <= 1.0]
+        self.assert_identical(levels)
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(41)
+        tiny = 2.2250738585072014e-308
+        self.assert_identical(np.concatenate([
+            rng.uniform(0.0, tiny, 1000), 5e-324 * np.arange(1, 1001)]))
+
+    def test_random_levels(self):
+        rng = np.random.default_rng(43)
+        self.assert_identical(rng.uniform(0.0, 1.0, 100_000))
+
+    def test_log_uniform_tails(self):
+        rng = np.random.default_rng(47)
+        self.assert_identical(np.concatenate([
+            10.0 ** rng.uniform(-320.0, 0.0, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000)]))

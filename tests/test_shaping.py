@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from cvarsearch.shaping import ShapeConfig, sample_quantile_threshold, shape
+from cvarsearch.shaping import ShapeConfig, _logistic, sample_quantile_threshold, shape
 
 
 class TestThreshold:
@@ -99,3 +100,44 @@ class TestShape:
             ShapeConfig(s_o=np.inf, rho=0.1)
         with pytest.raises(ValueError):
             ShapeConfig(s_o=1.0, rho=0.0)
+
+
+class TestLogisticMatchesExpit:
+    """``shape`` computes ``scipy.special.expit`` bit for bit."""
+
+    @staticmethod
+    def edges() -> np.ndarray:
+        # 1 + exp(-t) rounds to 1 from about 36.7, exp(-t) overflows below
+        # about -709.78, and exp(t) underflows to 0 below about -745.13
+        centres = [0.0, 36.7368005696771, 709.782712893384, 745.1332191019411,
+                   *np.arange(37.0, 41.0), 710.0, 745.0]
+        out = []
+        for c in centres:
+            for sign in (1.0, -1.0):
+                t = sign * c
+                lo = hi = t
+                out.append(t)
+                for _ in range(32):
+                    lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+                    out += [lo, hi]
+        return np.array(out)
+
+    @staticmethod
+    def assert_identical(got, t):
+        want = special.expit(t)
+        bad = np.flatnonzero(np.asarray(got).view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, [(t[i], got[i], want[i]) for i in bad[:5]]
+
+    def test_scalar_logistic(self):
+        rng = np.random.default_rng(53)
+        t = np.concatenate([rng.normal(0.0, 20.0, 50_000), rng.uniform(-800.0, 800.0, 50_000),
+                            np.linspace(-41.0, 41.0, 20_001), self.edges(),
+                            [np.inf, -np.inf, 0.0, -0.0]])
+        self.assert_identical(np.array([_logistic(float(x)) for x in t]), t)
+
+    def test_shape_vector(self):
+        # unit slope and gamma 0 make shape's argument the score itself
+        rng = np.random.default_rng(59)
+        t = np.concatenate([rng.normal(0.0, 20.0, 50_000), rng.uniform(-800.0, 800.0, 50_000),
+                            self.edges(), [-0.0, 1e308, -1e308]])
+        self.assert_identical(shape(t, 0.0, ShapeConfig(s_o=1.0, rho=0.5)), t)
