@@ -50,6 +50,9 @@ per-candidate budget and a single re-evaluation, of the candidate with the
 best in-run estimate; the large-budget reference run uses it.
 Re-evaluation budget is accounted separately from the search budget.
 
+A run's trace, ``RunResult.records``, is one NumPy record array with a
+row per iteration, built once when the loop ends.
+
 Randomness: every consumer draws from a substream keyed by its role and
 position (iteration, candidate index), so results do not depend on
 evaluation order or worker count.  The per-candidate streams of one
@@ -104,7 +107,6 @@ __all__ = [
     "PowerLawStepSize",
     "PowerGrowthSchedule",
     "GassConfig",
-    "IterationRecord",
     "RunResult",
     "GRAD_THRESHOLD",
     "MAX_ITERATIONS",
@@ -230,30 +232,28 @@ class GassConfig:
         object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Telemetry for one iteration.
-
-    ``best_candidate`` is the iteration's argmin of estimated CVaR among
-    its own candidates, and ``best_cvar_estimate`` that estimate, at the
-    iteration's risk level.  ``params_snapshot`` is the family the
-    candidates were drawn from.  ``cumulative_loss_evals`` counts search
-    simulations through this iteration; re-evaluation budget is kept out
-    and reported on the run result instead.
-    """
-
-    k: int
-    alpha: float
-    grad_norm: float
-    best_cvar_estimate: float
-    cumulative_loss_evals: int
-    params_snapshot: SamplingParams
-    best_candidate: np.ndarray
+def _trace_dtype(dim: int) -> np.dtype:
+    """The row type of ``RunResult.records`` for a family of dimension dim."""
+    vector = (float, (dim,))
+    return np.dtype([
+        ("k", np.int64), ("alpha", float), ("grad_norm", float),
+        ("best_cvar_estimate", float), ("cumulative_loss_evals", np.int64),
+        ("family_mean", *vector), ("family_variance", *vector),
+        ("best_candidate", *vector),
+    ])
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """A finished run: telemetry plus the re-evaluated reported solution.
+    """A finished run: its trace plus the re-evaluated reported solution.
+
+    ``records`` is the trace, a record array with one row per iteration
+    ``k``: its risk level ``alpha``, the norm ``grad_norm`` of its gradient
+    estimate, the family (``family_mean``, ``family_variance``) its
+    candidates came from, their argmin ``best_candidate`` of estimated
+    CVaR at ``alpha`` and that estimate ``best_cvar_estimate``, and
+    ``cumulative_loss_evals``, the search simulations through ``k``;
+    re-evaluation budget is kept out of it.
 
     ``record_values`` holds the fresh target-level CVaR value of every
     iteration's best candidate (``run_gass_cvar_arl``, which reports their
@@ -262,7 +262,7 @@ class RunResult:
     simulation budget the re-evaluations consumed.
     """
 
-    records: list[IterationRecord]
+    records: np.recarray
     final_best_candidate: np.ndarray
     final_best_cvar: float
     terminated_by: str
@@ -392,7 +392,7 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
     """The search loop: alpha_k from the schedule, M_k = inner_budget(alpha_k)."""
     params = SamplingParams(*_project_moments(
         config.init_params.mean, config.init_params.variance, config.box))
-    records: list[IterationRecord] = []
+    rows = []
     cum_evals = 0
     terminated = MAX_ITERATIONS
     for k in range(config.max_iterations):
@@ -405,21 +405,15 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
 
         next_params, grad_norm = _step(params, xs, cvars, k, config)
         i_best = int(np.argmin(cvars))
-        records.append(IterationRecord(
-            k=k,
-            alpha=alpha_k,
-            grad_norm=grad_norm,
-            best_cvar_estimate=float(cvars[i_best]),
-            cumulative_loss_evals=cum_evals,
-            params_snapshot=params,
-            best_candidate=xs[i_best].copy(),
-        ))
+        # a copy: a view would keep the whole of xs alive
+        rows.append((k, alpha_k, grad_norm, cvars[i_best], cum_evals,
+                     params.mean, params.variance, xs[i_best].copy()))
         params = next_params
         schedule = update_risk_level(schedule, grad_norm)
         if grad_norm <= config.grad_norm_stop:
             terminated = GRAD_THRESHOLD
             break
-    return records, terminated
+    return np.array(rows, dtype=_trace_dtype(params.dim)).view(np.recarray), terminated
 
 
 def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
@@ -441,14 +435,15 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     schedule = RiskSchedule.start(alpha_star, alpha_star)
     seed_seq = as_seed_sequence(seed)
     records, terminated = _run_search(config, loss, seed_seq, schedule, lambda alpha: m)
-    j = int(np.argmin([r.best_cvar_estimate for r in records]))
+    j = int(np.argmin(records.best_cvar_estimate))
+    best = records.best_candidate[j]
     final_value = _candidate_cvars(
-        loss, [records[j].best_candidate], schedule.alpha_target,
-        int(final_eval_budget), substream(seed_seq, _FINAL_REALM), first=j,
+        loss, [best], schedule.alpha_target, int(final_eval_budget),
+        substream(seed_seq, _FINAL_REALM), first=j,
     )[0]
     return RunResult(
         records=records,
-        final_best_candidate=records[j].best_candidate,
+        final_best_candidate=best,
         final_best_cvar=float(final_value),
         terminated_by=terminated,
         final_eval_count=int(final_eval_budget),
@@ -475,13 +470,13 @@ def run_gass_cvar_arl(config: GassConfig, loss: LossModel, schedule: RiskSchedul
         lambda alpha: inner_sample_size(alpha, effective_size),
     )
     values = evaluate_candidates(
-        loss, [r.best_candidate for r in records], alpha_star,
+        loss, records.best_candidate, alpha_star,
         final_eval_budget, substream(seed_seq, _FINAL_REALM),
     )
     j = int(np.argmin(values))
     return RunResult(
         records=records,
-        final_best_candidate=records[j].best_candidate,
+        final_best_candidate=records.best_candidate[j],
         final_best_cvar=float(values[j]),
         terminated_by=terminated,
         record_values=values,

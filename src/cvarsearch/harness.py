@@ -261,7 +261,7 @@ class ReplicationOutcome:
 
     @property
     def search_evals(self) -> int:
-        return self.result.records[-1].cumulative_loss_evals
+        return int(self.result.records.cumulative_loss_evals[-1])
 
     @property
     def best_values(self) -> np.ndarray:
@@ -309,8 +309,7 @@ def _step_values(evals: np.ndarray, bests: np.ndarray, grid: np.ndarray) -> np.n
 
 def _aggregate(config: ExperimentConfig, reference_value: float,
                outcomes: list[ReplicationOutcome]) -> ExperimentResult:
-    all_evals = [np.array([r.cumulative_loss_evals for r in o.result.records])
-                 for o in outcomes]
+    all_evals = [o.result.records.cumulative_loss_evals for o in outcomes]
     all_bests = [o.best_values for o in outcomes]
     start = max(e[0] for e in all_evals)
     grid = np.unique(np.concatenate(all_evals))
@@ -320,10 +319,10 @@ def _aggregate(config: ExperimentConfig, reference_value: float,
     ratios = table / reference_value
     if reference_value < 0:
         ratios = 2.0 - ratios
+    # a replication that stopped early holds its last level
     k_max = max(len(o.result.records) for o in outcomes)
     alpha_rows = np.vstack([
-        np.array([o.result.records[min(k, len(o.result.records) - 1)].alpha
-                  for k in range(k_max)])
+        o.result.records.alpha[np.minimum(np.arange(k_max), len(o.result.records) - 1)]
         for o in outcomes
     ])
     return ExperimentResult(
@@ -378,7 +377,7 @@ def budget_to_threshold(outcome: ReplicationOutcome, threshold: float) -> int | 
     hit = np.nonzero(bests <= threshold)[0]
     if hit.size == 0:
         return None
-    return int(outcome.result.records[int(hit[0])].cumulative_loss_evals)
+    return int(outcome.result.records.cumulative_loss_evals[hit[0]])
 
 
 # --- reference optimum ---------------------------------------------------
@@ -504,7 +503,7 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict[str, str]:
     lines = [header]
     for outcome in result.outcomes:
         for rec in outcome.result.records:
-            mean_cols = ",".join(_fmt(v) for v in rec.params_snapshot.mean)
+            mean_cols = ",".join(_fmt(v) for v in rec.family_mean)
             lines.append(
                 f"{outcome.rep},{rec.k},{_fmt(rec.alpha)},{_fmt(rec.grad_norm)},"
                 f"{_fmt(rec.best_cvar_estimate)},{rec.cumulative_loss_evals},{mean_cols}"

@@ -69,7 +69,9 @@ def shape(score, gamma: float, config: ShapeConfig):
         raise ValueError("score must be finite")
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    t = config.s_o * (s.reshape(-1) - gamma)
+    # an overflowing t is +-inf, which saturates to exactly 1 or 0 below
+    with np.errstate(over="ignore"):
+        t = config.s_o * (s.reshape(-1) - gamma)
     out = np.where(t > 0.0, 1.0, 0.0)
     for i in np.flatnonzero((t > _ZERO_TO) & (t < _ONE_FROM)):
         out[i] = _logistic(float(t[i]))

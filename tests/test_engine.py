@@ -574,9 +574,9 @@ class TestFixedLevelRun:
         config = small_config(max_iterations=1)
         out = run_gass_cvar(config, self.LOSS, 0.9, 5, 0,
                             final_eval_budget=20)
-        snap = out.records[0].params_snapshot
-        np.testing.assert_array_equal(snap.mean, config.init_params.mean)
-        np.testing.assert_array_equal(snap.variance, config.init_params.variance)
+        np.testing.assert_array_equal(out.records.family_mean[0], config.init_params.mean)
+        np.testing.assert_array_equal(out.records.family_variance[0],
+                                      config.init_params.variance)
 
     def test_alpha_zero_runs(self):
         config = small_config(max_iterations=3)

@@ -654,3 +654,30 @@ class TestEmission:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_trace_round_trips(self, tmp_path):
+        # a trace saved and loaded without pickle is the same array, and
+        # emits the same files
+        result = run_experiment(tiny_config(algorithm="gass_cvar_arl", alpha_init=0.0),
+                                workers=1, reference_value=1.0)
+        outcomes = []
+        for o in result.outcomes:
+            records = o.result.records
+            assert records.dtype.names == (
+                "k", "alpha", "grad_norm", "best_cvar_estimate", "cumulative_loss_evals",
+                "family_mean", "family_variance", "best_candidate")
+            np.testing.assert_array_equal(records.k, np.arange(len(records)))
+            assert np.all(np.diff(records.cumulative_loss_evals) > 0)
+            path = tmp_path / f"rep_{o.rep}.npy"
+            np.save(path, records)
+            loaded = np.load(path, allow_pickle=False)
+            assert loaded.dtype == records.dtype
+            assert loaded.tobytes() == records.tobytes()
+            outcomes.append(dataclasses.replace(
+                o, result=dataclasses.replace(o.result, records=loaded.view(np.recarray))))
+        emit_csv(result, tmp_path / "a")
+        emit_csv(dataclasses.replace(result, outcomes=outcomes), tmp_path / "b")
+        for name in ("iterations.csv", "curve.csv", "alpha.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
