@@ -126,7 +126,7 @@ class BenchmarkLoss:
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.dim,):
             raise ValueError(f"x must have shape ({self.dim},), got {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not all(map(math.isfinite, arr.tolist())):
             raise ValueError("x must be finite")
         return arr
 
@@ -148,13 +148,9 @@ class BenchmarkLoss:
         if m < 1:
             raise ValueError("m must be >= 1")
         arr = self._point(x)
-        base = _BENCHMARKS[self.benchmark_id][0](arr)
-        # in place, one allocation: the same product and sum per element as
-        # base + scale * draws
-        out = rng.standard_normal(m)
-        out *= self._scale(arr)
-        out += base
-        return out
+        # one pass over the draws: NumPy forms loc + scale * z per standard
+        # normal z, the stream's standard_normal(m) draws
+        return rng.normal(_BENCHMARKS[self.benchmark_id][0](arr), self._scale(arr), m)
 
     def cvar(self, x, alpha: float) -> float:
         """Exact CVaR at level alpha of the noisy loss at x: the Gaussian

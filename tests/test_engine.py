@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvarsearch
 from cvarsearch import engine
 from cvarsearch.benchmarks import BenchmarkLoss
 from cvarsearch.engine import (
@@ -297,11 +300,55 @@ class TestEvaluateCandidates:
         first_alone = evaluate_candidates(self.LOSS, cands[:1], 0.9, 500, 42)
         assert both[0] == first_alone[0]
 
+    def test_independent_of_cpu_dispatch(self):
+        # np.partition leaves its output in an order that depends on the
+        # SIMD kernel NumPy dispatches to; with its AVX-512 kernels disabled
+        # the estimates must keep every bit
+        targets = _avx512_dispatch_targets()
+        if not targets:
+            pytest.skip("this NumPy dispatches no AVX-512 kernel on this CPU")
+        runs = [_evaluate_in_subprocess({}),
+                _evaluate_in_subprocess({"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})]
+        assert runs[0] == runs[1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             evaluate_candidates(self.LOSS, [], 0.9, 10, 0)
         with pytest.raises(ValueError):
             evaluate_candidates(self.LOSS, [np.zeros(2)], 0.9, 0, 0)
+
+
+def _avx512_dispatch_targets() -> list[str]:
+    """The AVX-512 targets the running NumPy dispatches to on this CPU, by
+    the names ``NPY_DISABLE_CPU_FEATURES`` takes (NumPy 1.x and 2.x)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if ("AVX512" in name or name == "X86_V4") and umath.__cpu_features__.get(name)]
+
+
+_DISPATCH_RUN = """
+import sys
+import numpy as np
+from cvarsearch.benchmarks import BenchmarkLoss
+from cvarsearch.engine import evaluate_candidates
+loss = BenchmarkLoss("l0", 2)
+xs = np.random.default_rng(1).uniform(-2.0, 2.0, (40, 2))
+for alpha, m in [(0.5, 30), (0.95, 600), (0.99, 5000)]:
+    sys.stdout.write(evaluate_candidates(loss, xs[:8] if m > 600 else xs, alpha, m, 3).tobytes().hex())
+"""
+
+
+def _evaluate_in_subprocess(env: dict) -> str:
+    src = os.path.dirname(os.path.dirname(cvarsearch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_RUN], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class ShortLoss:
@@ -351,8 +398,8 @@ def record_estimates(monkeypatch) -> list:
     """Collect every CVaR estimate the engine computes, in call order."""
     estimates = []
 
-    def recording_cvar(losses, level):
-        out = empirical_cvar(losses, level)
+    def recording_cvar(losses, level, **kwargs):
+        out = empirical_cvar(losses, level, **kwargs)
         estimates.append(out)
         return out
 

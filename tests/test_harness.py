@@ -583,11 +583,12 @@ class TestReference:
         assert [p.name for p in tmp_path.iterdir()] == ["reference_cache.json"]
 
     def test_entry_of_an_older_schema_misses(self, tmp_path):
-        # the Newton solve changed with schema 3 and moved non-l0 references
-        # in their last bits, so a value cached under schema 2 is not served
+        # the CVaR estimate's summation order changed with schema 4 and can
+        # move non-l0 references in their last bits, so a value cached under
+        # schema 3 is not served
         config = self.search_config()
         want = emit_reference_run(config)
-        old_key = harness._fields_hash(config, harness._REFERENCE_FIELDS, schema=2)
+        old_key = harness._fields_hash(config, harness._REFERENCE_FIELDS, schema=3)
         assert old_key != harness._reference_key(config)
         cache_path = tmp_path / "reference_cache.json"
         cache_path.write_text(json.dumps({old_key: 123.0}))

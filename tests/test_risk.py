@@ -17,18 +17,26 @@ losses_1d = arrays(
 
 
 def clip_cvar(losses, alpha):
-    """Reference CVaR reduction: np.clip over a fresh excess array, kept
-    within the sample's range against round-off."""
+    """Reference CVaR reduction on the sorted sample s: the clipped excess
+    over the VaR s[k] is zero below it, so it is the excess of s[k + 1:],
+    kept at or below the sample maximum against round-off."""
     arr = np.asarray(losses, dtype=float)
     if alpha == 0.0:
         out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
         return float(out) if arr.ndim == 1 else out
     m = arr.shape[-1]
-    j = max(1, math.ceil(alpha * m))
-    v = np.partition(arr, j - 1, axis=-1)[..., j - 1]
-    excess = np.clip(arr - v[..., None], 0.0, None)
-    out = np.minimum(v + excess.sum(axis=-1) / (m * (1.0 - alpha)), arr.max(axis=-1))
+    k = max(1, math.ceil(alpha * m)) - 1
+    s = np.sort(arr, axis=-1)
+    v = s[..., k]
+    excess = (s[..., k + 1:] - v[..., None]).sum(axis=-1)
+    out = np.minimum(v + excess / (m * (1.0 - alpha)), s[..., -1])
     return float(out) if arr.ndim == 1 else out
+
+
+def canonical_bytes(values) -> bytes:
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other float's bits
+    # as they are: ties of 0.0 and -0.0 may sort either way round
+    return (np.asarray(values, dtype=float) + 0.0).tobytes()
 
 
 class TestEmpiricalVar:
@@ -139,6 +147,40 @@ class TestEmpiricalCvar:
         empirical_cvar(x, alpha)
         empirical_cvar(x[1], alpha)
         np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("m", [1, 2, 557])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95, "top"])
+    def test_overwrite_input(self, m, alpha):
+        # the same values as the default; the input is left a permutation of
+        # itself, row by row
+        alpha = 1.0 - 0.5 / m if alpha == "top" else alpha
+        x = np.round(np.random.default_rng(m).standard_normal((5, m)), 1)
+        want = empirical_cvar(x, alpha)
+        scratch = x.copy()
+        assert empirical_cvar(scratch, alpha, overwrite_input=True).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(np.sort(scratch, axis=-1), np.sort(x, axis=-1))
+        row = x[0].copy()
+        assert empirical_cvar(row, alpha, overwrite_input=True) == want[0]
+        np.testing.assert_array_equal(np.sort(row), np.sort(x[0]))
+
+    @given(
+        x=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 400)),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, width=64)
+            | st.sampled_from([0.0, -0.0, 1.5]),
+        ),
+        alpha=st.floats(1e-6, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_permutation_invariant(self, x, alpha, seed):
+        # the tail is summed in sorted order, so the estimate depends on
+        # each row's values alone: bit for bit, up to the sign of a zero
+        permuted = np.random.default_rng(seed).permuted(x, axis=-1)
+        want = canonical_bytes(empirical_cvar(x, alpha))
+        assert canonical_bytes(empirical_cvar(permuted, alpha)) == want
+        assert canonical_bytes(empirical_cvar(permuted[::-1, ::-1], alpha)[::-1]) == want
 
     def test_single_seed_gaussian_consistency(self):
         rng = np.random.default_rng(12)
