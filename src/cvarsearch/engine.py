@@ -54,12 +54,13 @@ A run's trace, ``RunResult.records``, is one NumPy record array with a
 row per iteration, built once when the loop ends.
 
 Randomness: every consumer draws from a substream keyed by its role and
-position (iteration, candidate index), so results do not depend on
-evaluation order or worker count.  The per-candidate streams of one
-evaluation are built in one batch by ``streams.candidate_generators``,
-which writes out NumPy's SeedSequence and PCG64 seeding arithmetic and
-resets one PCG64 per candidate; each stream is bit-identical to NumPy's
-own construction at the same key path.
+position (iteration, chunk of candidates), so results do not depend on
+evaluation order or worker count.  The candidates of one evaluation share
+streams in chunks of ``_chunk_rows(m)``, which depends on the draws per
+candidate m alone: chunk c is NumPy's own
+``generator(substream(seq, *key, c))``, and its candidates draw from it
+one after another, in index order.  A chunk spreads the cost of one
+stream's construction over up to 64 candidates.
 
 Memory: candidates are simulated and reduced to CVaR estimates in row
 blocks, so a search or re-evaluation holds O(block) loss draws at a time,
@@ -69,13 +70,13 @@ block in place and copies only each row's tail from its VaR up, so its
 transients shrink with 1 - alpha: about a tenth of the block at 0.95.
 
 Threads: from ``_THREAD_MIN_DRAWS`` draws per candidate, an evaluation
-splits its candidates into contiguous index ranges, one per thread, each
-with its own streams, block and slice of the result; below it, starting
-threads costs more than they save.  The thread count is derived, never
-set: the CPUs the process may run on, capped by the candidate count, and
-lowered in each worker of a process pool so that workers x threads stays
-within the CPUs.  Every row still depends only on its own stream, so no
-value depends on the thread count.
+splits its chunks into contiguous runs, one per thread, each with its own
+streams, block and slice of the result; below it, starting threads costs
+more than they save.  The thread count is derived, never set: the CPUs
+the process may run on, capped by the chunk count, and lowered in each
+worker of a process pool so that workers x threads stays within the
+CPUs.  A chunk is never split between threads, so no value depends on the
+thread count.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from .sampling import (
 )
 from .schedule import RiskSchedule, inner_sample_size, update_risk_level
 from .shaping import ShapeConfig, sample_quantile_threshold, shape
-from .streams import as_seed_sequence, candidate_generators, generator, substream
+from .streams import as_seed_sequence, generator, substream
 
 __all__ = [
     "LossModel",
@@ -133,9 +134,11 @@ _FINAL_REALM = 2
 _BLOCK_BYTES = 1 << 20
 
 # draws per candidate from which an evaluation is split across threads.
-# On a 2-vCPU host (200 l0 candidates at alpha 0.95, best of 7 calls per
-# round, two sets of 5 rounds) 2 threads beat 1 in 0 of 5 rounds at 1,000
-# draws, 1 and 2 of 5 at 1,500, 2 and 4 of 5 at 2,000, and 5 of 5 from 2,500
+# On a 2-vCPU host (l0 candidates at alpha 0.95, best of 7 calls per round,
+# sets of 5 rounds), with 1,000 candidates, 16 chunks, 2 threads beat 1 in
+# 4 and 0 of 5 rounds at 1,500 draws and in 4 and 5 of 5 at 2,000.  With
+# 200, 4 chunks split 128/72, they won 8 of 25 rounds at 2,000 and 20 of
+# 25 at 2,500
 _THREAD_MIN_DRAWS = 2000
 # threads per evaluation; None is every CPU the process may run on
 _THREADS: int | None = None
@@ -159,14 +162,15 @@ class LossModel(Protocol):
     """What the engines require of a loss: ``simulate`` returns exactly m
     fresh noisy simulations, shape (m,); any other shape is refused.
 
-    ``rng`` is the candidate's own stream, bit-identical to NumPy's
-    ``default_rng`` at the candidate's key path.  The engine resets that
-    same generator to the next candidate's stream after the call returns,
-    so a loss must draw from it only during the call and must not keep it;
-    it cannot spawn.
+    ``rng`` is the generator of the candidate's chunk, which up to
+    ``_chunk_rows(m)`` candidates share in index order: each call draws on
+    from where the previous candidate's call stopped.  So a loss must draw
+    from it only during the call and must not keep it.  If the number of
+    draws a loss takes depends on x, a candidate's value depends on the
+    earlier candidates of its chunk.
 
     From ``_THREAD_MIN_DRAWS`` draws per candidate, ``simulate`` may run on
-    several threads at once, each call with its own generator, so a loss
+    several threads at once, each with its own chunks' generators, so a loss
     must not change shared state without its own lock.  It should draw its
     m simulations in one NumPy call where it can, as
     ``BenchmarkLoss.simulate`` does: a NumPy call releases the interpreter
@@ -318,33 +322,47 @@ def newton_step_vector(theta: np.ndarray, grad: np.ndarray, var_matrix: np.ndarr
     return theta + step_size * direction
 
 
+def _chunk_rows(m: int) -> int:
+    """Candidates that share one stream at m draws each: enough to spread
+    a stream's construction over about 2**18 draws, at most 64.  At the
+    reference search's 50,000 draws that is 5, where 2**16 would give 1
+    and build a stream per candidate."""
+    return max(1, min(64, 2**18 // m))
+
+
 def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
-                     seq: np.random.SeedSequence, *key: int, first: int = 0) -> np.ndarray:
+                     seq: np.random.SeedSequence, *key: int) -> np.ndarray:
     """CVaR estimate of each candidate in xs from m fresh simulations.
 
-    Candidate i draws from the stream of ``substream(seq, *key, first +
-    i)``; each index range builds its streams in one batch by
-    ``candidate_generators``.  Rows are simulated into one reused buffer per
-    range, of at most ``_BLOCK_BYTES`` over all ranges or of one row when a
-    row is larger, and reduced block by block; each row's estimate depends
-    only on that row, so the values depend neither on the block size nor on
-    the split into ranges.  From ``_THREAD_MIN_DRAWS`` draws the ranges are
-    contiguous, one per thread, and the calling thread takes the first; an
-    error in the lowest failing range reaches the caller after every thread
-    has finished.
+    Candidate i is row ``i % C`` of chunk ``i // C``, where C is
+    ``_chunk_rows(m)``: chunk c draws from
+    ``generator(substream(seq, *key, c))``, its rows from successive
+    ``loss.simulate`` calls on that one generator.  Rows are simulated
+    into one reused buffer per thread, of at most ``_BLOCK_BYTES`` over all
+    threads or of one row when a row is larger, and reduced block by
+    block; each row's estimate depends only on that row, and a block may
+    split a chunk because its rows are drawn in order, so the values
+    depend neither on the block size nor on the thread count.  From
+    ``_THREAD_MIN_DRAWS`` draws each thread takes a contiguous run of
+    whole chunks, and the calling thread takes the first; an error in the
+    lowest failing run reaches the caller after every thread has finished.
     """
     n = len(xs)
-    threads = min(n, _THREADS or _cpu_count()) if m >= _THREAD_MIN_DRAWS else 1
+    chunk = _chunk_rows(m)
+    chunks = -(-n // chunk)
+    threads = min(chunks, _THREADS or _cpu_count()) if m >= _THREAD_MIN_DRAWS else 1
     rows = max(1, _BLOCK_BYTES // threads // (8 * m))
     out = np.empty(n)
 
     def fill(lo: int, hi: int):
-        rngs = candidate_generators(seq, key, first + lo, hi - lo)
         block = np.empty((min(rows, hi - lo), m))
         for start in range(lo, hi, len(block)):
             stop = min(start + len(block), hi)
             for i in range(start, stop):
-                draws = loss.simulate(xs[i], m, next(rngs))
+                c, row = divmod(i, chunk)
+                if row == 0:
+                    rng = generator(substream(seq, *key, c))
+                draws = loss.simulate(xs[i], m, rng)
                 if np.shape(draws) != (m,):
                     raise ValueError(
                         f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
@@ -355,7 +373,7 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     if threads == 1:
         fill(0, n)
         return out
-    bounds = [n * t // threads for t in range(threads + 1)]
+    bounds = [min(n, chunks * t // threads * chunk) for t in range(threads + 1)]
     # created per call, so that no thread outlives it (a process pool forks)
     with ThreadPoolExecutor(threads - 1) as pool:
         rest = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -367,10 +385,12 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
 
 def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
                         budget: int, seed) -> np.ndarray:
-    """Fresh CVaR estimate per candidate, one substream each.
+    """Fresh CVaR estimate per candidate.
 
-    Stream j depends only on (seed, j), so the values are independent of
-    evaluation order.
+    Candidate j draws from chunk ``j // _chunk_rows(budget)``, whose stream
+    depends only on (seed, chunk index), after the earlier candidates of
+    its chunk; so the values are independent of the order and the threads
+    the chunks are evaluated in.
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
@@ -432,10 +452,11 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     """Fixed-level search with ``inner_budget`` simulations per candidate.
 
     The zero-gap schedule keeps every iteration at alpha_star.  Reports the
-    candidate with the best in-run estimate across all iterations,
-    re-evaluated once with ``final_eval_budget`` fresh simulations; the
-    other records are not re-evaluated, which keeps large-budget runs such
-    as the reference optimum at one extra candidate evaluation.
+    candidate with the best in-run estimate across all iterations, record
+    j, re-evaluated once with ``final_eval_budget`` fresh simulations from
+    its own key (final realm, j); the other records are not re-evaluated,
+    which keeps large-budget runs such as the reference optimum at one
+    extra candidate evaluation.
     """
     m = operator.index(inner_budget)
     if m < 1:
@@ -449,7 +470,7 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     best = records.best_candidate[j]
     final_value = _candidate_cvars(
         loss, [best], schedule.alpha_target, int(final_eval_budget),
-        substream(seed_seq, _FINAL_REALM), first=j,
+        substream(seed_seq, _FINAL_REALM, j),
     )[0]
     return RunResult(
         records=records,

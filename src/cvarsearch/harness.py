@@ -393,8 +393,9 @@ _REFERENCE_SEED_FIELDS = (
 # every field that reaches the reference run; the cache key hashes these
 _REFERENCE_FIELDS = _REFERENCE_SEED_FIELDS + ("grad_norm_stop", "n_growth_exponent")
 # bump when the reference run changes for an unchanged config; 4 sums each
-# CVaR estimate's tail in sorted order, which can move a reference's last bits
-_REFERENCE_SCHEMA = 4
+# CVaR estimate's tail in sorted order, which can move a reference's last
+# bits, and 5 draws candidates from one stream per chunk, which moves all
+_REFERENCE_SCHEMA = 5
 
 
 def _fields_hash(config: ExperimentConfig, fields, **extra) -> str:

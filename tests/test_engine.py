@@ -387,11 +387,15 @@ BLOCK_CASES = [
 
 
 def _one_at_a_time(loss, xs, alpha, m, seq, *key):
-    """Per-candidate reference: a 1-d estimate from each candidate's stream."""
-    return np.array([
-        empirical_cvar(loss.simulate(x, m, generator(substream(seq, *key, j))), alpha)
-        for j, x in enumerate(xs)
-    ])
+    """Chunk reference: a 1-d estimate per candidate, each chunk's rows
+    drawn in order from ``generator(substream(seq, *key, c))``."""
+    chunk = engine._chunk_rows(m)
+    out = []
+    for j, x in enumerate(xs):
+        if j % chunk == 0:
+            rng = generator(substream(seq, *key, j // chunk))
+        out.append(empirical_cvar(loss.simulate(x, m, rng), alpha))
+    return np.array(out)
 
 
 def record_estimates(monkeypatch) -> list:
@@ -482,34 +486,53 @@ class ShortAtLoss:
         return self.inner.simulate(x, m, rng)
 
 
-# (n, m): several blocks with a short last one in every range, n at most the
-# thread count, one candidate, and m just below and at the break-even
+# (n, m): three whole chunks and a partial fourth, below and above the
+# thread break-even (64 and 104 candidates per chunk)
+CHUNK_CASES = [(3 * engine._chunk_rows(m) + 5, m) for m in (300, 2500)]
+
+# (n, m): two chunks, the second partial, in several blocks with a short
+# last one; one chunk of two candidates; one candidate; one chunk at m
+# just below and at the break-even; and the chunk cases
 THREAD_CASES = BLOCK_CASES[:1] + [
     (2, 5000),
     (1, 5000),
     (7, engine._THREAD_MIN_DRAWS - 1),
     (7, engine._THREAD_MIN_DRAWS),
-]
+] + CHUNK_CASES
 
 
-def record_ranges(monkeypatch) -> list:
-    """Collect (first index, count, on the calling thread) of every index
-    range the engine builds streams for."""
-    ranges = []
+def record_ranges(monkeypatch):
+    """Record the chunk streams the engine builds; the returned function
+    gives (first chunk, chunk count, on the calling thread) of each
+    thread's chunks so far, and checks that each thread's are contiguous."""
+    built = []
     caller = threading.get_ident()
 
-    def recording_generators(seq, key, first, count):
-        ranges.append((first, count, threading.get_ident() == caller))
-        return build(seq, key, first, count)
+    def recording_substream(seq, *key):
+        built.append((key[-1], threading.get_ident()))
+        return build(seq, *key)
 
-    build = engine.candidate_generators
-    monkeypatch.setattr(engine, "candidate_generators", recording_generators)
+    def ranges():
+        by_thread = {}
+        for c, thread in built:
+            by_thread.setdefault(thread, []).append(c)
+        out = []
+        for thread, chunks in by_thread.items():
+            assert chunks == list(range(chunks[0], chunks[0] + len(chunks)))
+            out.append((chunks[0], len(chunks), thread == caller))
+        return sorted(out)
+
+    build = engine.substream
+    monkeypatch.setattr(engine, "substream", recording_substream)
     return ranges
 
 
-def expected_ranges(n, threads):
-    """Contiguous ranges, one per thread; the calling thread takes the first."""
-    bounds = [n * t // threads for t in range(threads + 1)]
+def expected_ranges(n, m, threads):
+    """Contiguous runs of whole chunks, one per thread, at most one thread
+    per chunk; the calling thread takes the first."""
+    chunks = -(-n // engine._chunk_rows(m))
+    threads = min(threads, chunks)
+    bounds = [chunks * t // threads for t in range(threads + 1)]
     return [(lo, hi - lo, t == 0) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
@@ -527,26 +550,79 @@ class TestThreadedEvaluation:
         want = _one_at_a_time(self.LOSS, xs, alpha, m, as_seed_sequence(11))
         assert np.array_equal(got, want)
         split = m >= engine._THREAD_MIN_DRAWS
-        assert sorted(ranges) == expected_ranges(n, min(n, threads) if split else 1)
+        assert ranges() == expected_ranges(n, m, threads if split else 1)
 
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         ranges = record_ranges(monkeypatch)
-        xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5, 2))
-        evaluate_candidates(self.LOSS, xs, 0.9, engine._THREAD_MIN_DRAWS, 11)
-        assert sorted(ranges) == expected_ranges(5, 3)
+        m = engine._THREAD_MIN_DRAWS
+        n = 4 * engine._chunk_rows(m)
+        xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(n, 2))
+        evaluate_candidates(self.LOSS, xs, 0.9, m, 11)
+        assert ranges() == expected_ranges(n, m, 3)
 
-    @pytest.mark.parametrize("bad", [0, 3], ids=["calling_range", "worker_range"])
+    # the first candidate, and the first of the second chunk
+    @pytest.mark.parametrize("bad", [0, engine._chunk_rows(engine._THREAD_MIN_DRAWS)],
+                             ids=["calling_range", "worker_range"])
     def test_short_draws_reach_the_caller(self, bad, monkeypatch):
         monkeypatch.setattr(engine, "_THREADS", 2)
-        xs = np.arange(8.0).reshape(4, 2)
-        loss = ShortAtLoss(2, short_at=xs[bad, 0])
         m = engine._THREAD_MIN_DRAWS
+        xs = np.arange(4.0 * engine._chunk_rows(m)).reshape(-1, 2)
+        loss = ShortAtLoss(2, short_at=xs[bad, 0])
         before = threading.active_count()
         with pytest.raises(ValueError, match=re.escape(f"shape (1,), expected ({m},)")):
             evaluate_candidates(loss, xs, 0.9, m, 0)
         assert threading.active_count() == before
         assert (loss.short_thread == threading.get_ident()) == (bad == 0)
+
+
+class NormalLoss:
+    """Standard normal draws, kept by the candidate index in x[0]."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def simulate(self, x, m, rng):
+        draws = rng.standard_normal(m)
+        self.rows[int(x[0])] = draws.copy()
+        return draws
+
+
+class TestChunkedStreams:
+    LOSS = BenchmarkLoss("l0", 2)
+
+    def test_chunk_rows(self):
+        assert [engine._chunk_rows(m) for m in (1, 4096, 5000, 50_000, 2**18 + 1)] == [
+            64, 64, 52, 5, 1]
+
+    @pytest.mark.parametrize("n,m", CHUNK_CASES)
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_small_blocks_split_chunks(self, n, m, threads, monkeypatch):
+        # 7 rows over all threads: blocks of 7, 3 and 2 rows
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * m * 7)
+        monkeypatch.setattr(engine, "_THREADS", threads)
+        ranges = record_ranges(monkeypatch)
+        xs = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 2))
+        got = evaluate_candidates(self.LOSS, xs, 0.95, m, 11)
+        want = _one_at_a_time(self.LOSS, xs, 0.95, m, as_seed_sequence(11))
+        assert np.array_equal(got, want)
+        split = m >= engine._THREAD_MIN_DRAWS
+        assert ranges() == expected_ranges(n, m, threads if split else 1)
+
+    @pytest.mark.parametrize("n,m", CHUNK_CASES)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunk_rows_are_consecutive_draws(self, n, m, threads, monkeypatch):
+        monkeypatch.setattr(engine, "_THREADS", threads)
+        loss = NormalLoss()
+        xs = np.repeat(np.arange(n, dtype=float)[:, None], 2, axis=1)
+        got = evaluate_candidates(loss, xs, 0.5, m, 11)
+        rows = np.array([loss.rows[i] for i in range(n)])
+        chunk = engine._chunk_rows(m)
+        for c, lo in enumerate(range(0, n, chunk)):
+            hi = min(lo + chunk, n)
+            stream = generator(substream(as_seed_sequence(11), c))
+            assert np.array_equal(rows[lo:hi], stream.standard_normal((hi - lo, m)))
+        assert np.array_equal(got, empirical_cvar(rows, 0.5))
 
 
 class TestFixedLevelRun:
@@ -598,17 +674,17 @@ class TestFixedLevelRun:
         )
 
     def test_final_value_identical_either_way(self):
-        # the single re-evaluation draws from the stream the record would
-        # get if every record were re-evaluated
+        # the single re-evaluation of record j is a one-candidate
+        # evaluation under its own key, (final realm, j)
         config = small_config(max_iterations=4)
         lean = run_gass_cvar(config, self.LOSS, 0.9, 10, 3,
                              final_eval_budget=400)
-        full = evaluate_candidates(
-            self.LOSS, [r.best_candidate for r in lean.records], 0.9, 400,
-            substream(as_seed_sequence(3), engine._FINAL_REALM),
-        )
         j = int(np.argmin([r.best_cvar_estimate for r in lean.records]))
-        assert lean.final_best_cvar == full[j]
+        alone = evaluate_candidates(
+            self.LOSS, [lean.records[j].best_candidate], 0.9, 400,
+            substream(as_seed_sequence(3), engine._FINAL_REALM, j),
+        )
+        assert lean.final_best_cvar == alone[0]
 
     def test_grad_threshold_stop(self):
         config = small_config(max_iterations=50, grad_norm_stop=1e9)
@@ -743,8 +819,8 @@ class TestRampedRun:
     def test_degenerate_ramp_matches_fixed_run(self):
         # starting at the target makes the schedule inert; with matching
         # per-candidate budgets both entry points replay identical draws,
-        # and the fixed run reports the ramp's fresh value at the record
-        # with the best in-run estimate
+        # and the fixed run reports the record with the best in-run
+        # estimate, j, re-evaluated under its own key (final realm, j)
         eff = 12
         config = small_config(max_iterations=6)
         ramp = run_gass_cvar_arl(config, self.LOSS, RiskSchedule.start(0.9, 0.9),
@@ -759,7 +835,11 @@ class TestRampedRun:
             assert ra.cumulative_loss_evals == rb.cumulative_loss_evals
             np.testing.assert_array_equal(ra.best_candidate, rb.best_candidate)
         j = int(np.argmin([r.best_cvar_estimate for r in fixed.records]))
-        assert fixed.final_best_cvar == ramp.record_values[j]
+        alone = evaluate_candidates(
+            self.LOSS, [ramp.records[j].best_candidate], 0.9, 100,
+            substream(as_seed_sequence(21), engine._FINAL_REALM, j),
+        )
+        assert fixed.final_best_cvar == alone[0]
         np.testing.assert_array_equal(fixed.final_best_candidate,
                                       ramp.records[j].best_candidate)
         assert fixed.record_values is None

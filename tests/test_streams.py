@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvarsearch.streams import as_seed_sequence, candidate_generators, generator, substream
+from cvarsearch.streams import as_seed_sequence, generator, substream
 
 SeedSequence = np.random.SeedSequence
 
@@ -56,78 +56,15 @@ def test_negative_key_rejected():
         substream(substream(SeedSequence(5), 1), -1)
 
 
-def assert_candidates_match(root, key, first, count):
-    # each batched stream is checked before the next item resets it
-    got = 0
-    for i, rng in enumerate(candidate_generators(root, key, first, count)):
-        want = generator(substream(root, *key, first + i))
-        assert rng.bit_generator.state == want.bit_generator.state
-        np.testing.assert_array_equal(rng.standard_normal(5), want.standard_normal(5))
-        got += 1
-    assert got == count
-
-
-@pytest.mark.parametrize("entropy", ENTROPIES, ids=lambda e: "os" if e is None else hex(e))
-@pytest.mark.parametrize("path", PATHS, ids=str)
-def test_candidate_generators_equal_substream(entropy, path):
-    root = SeedSequence(entropy)
-    assert_candidates_match(root, path, 0, 3)
-    # a batch large enough to be hashed as arrays
-    assert_candidates_match(root, path, 7, 40)
-
-
-@pytest.mark.parametrize("path", PATHS, ids=str)
-def test_candidate_generators_user_sequence_with_its_own_key(path):
-    for root in (SeedSequence(99, spawn_key=(3, 4)), SeedSequence([5, 2**40], spawn_key=(2,))):
-        assert_candidates_match(root, path, 0, 3)
-        assert_candidates_match(root, path, 5, 20)
-
-
-@pytest.mark.parametrize("count", [4, 40])
-def test_candidate_index_run_ending_at_two_to_the_32(count):
-    # the last index is 2**32 - 1, the largest one-word index
-    assert_candidates_match(SeedSequence(42), (1, 3), 2**32 - count, count)
-
-
-@pytest.mark.parametrize("count", [4, 40])
-def test_candidate_index_run_crossing_two_to_the_32_rejected(count):
-    # refused at the call, before any stream is yielded
-    with pytest.raises(ValueError, match="below 2\\*\\*32"):
-        candidate_generators(SeedSequence(42), (1, 3), 2**32 - count // 2, count)
-
-
-@pytest.mark.parametrize("count", [0, 1])
-def test_candidate_generators_small_counts(count):
-    assert_candidates_match(SeedSequence(42), (1, 3), 9, count)
-
-
-def test_candidate_generators_refuse_negative_first_and_key():
-    with pytest.raises(ValueError):
-        candidate_generators(SeedSequence(5), (1,), -1, 3)
-    with pytest.raises(ValueError):
-        candidate_generators(SeedSequence(5), (1, -1), 0, 3)
-
-
-@pytest.mark.skipif(not hasattr(np.random.BitGenerator, "spawn"),
-                    reason="BitGenerator.spawn needs numpy >= 1.25")
-def test_candidate_generator_cannot_spawn():
-    rng = next(candidate_generators(SeedSequence(5), (1,), 0, 1))
-    with pytest.raises(TypeError):
-        rng.bit_generator.spawn(1)
-
-
 def test_float_seed_and_key_rejected():
     # a float is refused, never truncated to its integer part
     with pytest.raises(TypeError):
         as_seed_sequence(2.7)
     with pytest.raises(TypeError):
         substream(SeedSequence(5), 1, 1.5)
-    with pytest.raises(TypeError):
-        candidate_generators(SeedSequence(5), (1.5,), 0, 3)
 
 
 def test_numpy_integer_seed_and_key_accepted():
     assert as_seed_sequence(np.int64(2)).entropy == 2
     assert_same_stream(substream(SeedSequence(5), np.int64(1), np.uint32(4)),
                        substream(SeedSequence(5), 1, 4))
-    assert_candidates_match(SeedSequence(5), (np.int64(1),), 0, 3)
