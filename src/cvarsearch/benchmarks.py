@@ -39,52 +39,74 @@ __all__ = [
 ]
 
 
-def _l0(x: np.ndarray) -> float:
-    return float((x * x).sum())
+# The functions take a point as a list of Python floats (see BenchmarkLoss)
+# and loop over it in float arithmetic.  A square is written as a product,
+# because a float's ** raises OverflowError where a product overflows to
+# inf as NumPy's square does.  Sums are explicit loops, because the builtin
+# sum() of floats is compensated from Python 3.12 on and would make values
+# depend on the Python version.
+
+_TWO_PI = 2.0 * math.pi
 
 
-def _powell(x: np.ndarray) -> float:
+def _l0(x: list) -> float:
+    total = 0.0
+    for v in x:
+        total += v * v
+    return total
+
+
+def _powell(x: list) -> float:
     # 1-based sum over d = 2 .. D-2; each term touches x_{d-1} .. x_{d+2}
-    a = x[:-3]
-    b = x[1:-2]
-    c = x[2:-1]
-    d = x[3:]
-    return float(
-        np.sum((a + 10.0 * b) ** 2)
-        + 5.0 * np.sum((c - d) ** 2)
-        + np.sum((b - 2.0 * c) ** 4)
-        + 10.0 * np.sum((a - d) ** 4)
-    )
+    total = 0.0
+    for a, b, c, d in zip(x, x[1:], x[2:], x[3:]):
+        p = a + 10.0 * b
+        q = c - d
+        r = b - 2.0 * c
+        s = a - d
+        r2 = r * r
+        s2 = s * s
+        total += p * p + 5.0 * (q * q) + r2 * r2 + 10.0 * (s2 * s2)
+    return total
 
 
-def _rosenbrock(x: np.ndarray) -> float:
-    return float(np.sum((x[:-1] - 1.0) ** 2 + 100.0 * (x[:-1] ** 2 - x[1:]) ** 2))
+def _rosenbrock(x: list) -> float:
+    total = 0.0
+    for a, b in zip(x, x[1:]):
+        p = a - 1.0
+        q = a * a - b
+        total += p * p + 100.0 * (q * q)
+    return total
 
 
-def _rastrigin(x: np.ndarray) -> float:
-    n = x.size
-    return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)) - 10.0 * n - 1.0)
+def _rastrigin(x: list) -> float:
+    total = 0.0
+    for v in x:
+        total += v * v - 10.0 * math.cos(_TWO_PI * v)
+    return total - 10.0 * len(x) - 1.0
 
 
-def _pinter(x: np.ndarray) -> float:
+def _pinter(x: list) -> float:
     # neighbours wrap cyclically: x_0 = x_D and x_{D+1} = x_1
-    n = x.size
-    d = np.arange(1, n + 1, dtype=float)
-    prev = np.roll(x, 1)
-    nxt = np.roll(x, -1)
-    s1 = np.sum(d * x * x)
-    s2 = np.sum(20.0 * d * np.sin(prev * np.sin(x) - x + np.sin(nxt)) ** 2)
-    inner = prev * prev - 2.0 * x + 3.0 * nxt - np.cos(x) + 1.0
-    s3 = np.sum(d * np.log10(1.0 + d * inner * inner))
-    return float(s1 + s2 + s3)
+    total = 0.0
+    for i, (prev, v, nxt) in enumerate(zip(x[-1:] + x[:-1], x, x[1:] + x[:1]), 1):
+        a = math.sin(prev * math.sin(v) - v + math.sin(nxt))
+        b = prev * prev - 2.0 * v + 3.0 * nxt - math.cos(v) + 1.0
+        total += i * v * v + 20.0 * i * (a * a) + i * math.log10(1.0 + i * b * b)
+    return total
 
 
-def _levy(x: np.ndarray) -> float:
-    y = 1.0 + (x - 1.0) / 4.0
-    head = -math.sin(math.pi * y[0]) ** 2
-    mid = -np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[:-1] + 1.0) ** 2))
-    tail = -((y[-1] - 1.0) ** 2) * (1.0 + 10.0 * math.sin(2.0 * math.pi * y[-1]) ** 2)
-    return float(head + mid + tail)
+def _levy(x: list) -> float:
+    y = [1.0 + (v - 1.0) / 4.0 for v in x]
+    s = math.sin(math.pi * y[0])
+    total = s * s
+    for v in y[:-1]:
+        p = v - 1.0
+        s = math.sin(math.pi * v + 1.0)
+        total += p * p * (1.0 + 10.0 * (s * s))
+    p = y[-1] - 1.0
+    s = math.sin(_TWO_PI * y[-1])
+    return -(total + p * p * (1.0 + 10.0 * (s * s)))
 
 
 # benchmark id -> (noise-free function, noise centre)
@@ -105,7 +127,12 @@ class BenchmarkLoss:
     """One benchmark at one dimension: the loss model the engines consume.
 
     The id and the dimension are checked on construction, every point on
-    entry to a method.
+    entry to a method.  A point becomes a list of Python floats, and one
+    private ``_location_scale`` computes L(x) and noise_scale(x) on it for
+    every method: a search evaluates one small point per candidate, where
+    plain float arithmetic is several times cheaper than NumPy calls.
+    ``simulate`` is then one ``rng.normal(L(x), noise_scale(x), m)`` call.
+    A value that overflows is inf, as in NumPy, never an OverflowError.
     """
 
     benchmark_id: str
@@ -122,43 +149,51 @@ class BenchmarkLoss:
         if self.benchmark_id == "powell" and self.dim < 4:
             raise ValueError("powell requires dim >= 4")
 
-    def _point(self, x) -> np.ndarray:
+    def _point(self, x) -> list:
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.dim,):
             raise ValueError(f"x must have shape ({self.dim},), got {arr.shape}")
-        if not all(map(math.isfinite, arr.tolist())):
+        vals = arr.tolist()
+        if not all(map(math.isfinite, vals)):
             raise ValueError("x must be finite")
-        return arr
+        return vals
 
-    def _scale(self, arr: np.ndarray) -> float:
-        diff = arr - _BENCHMARKS[self.benchmark_id][1]
-        return math.sqrt(1.0 + 100.0 * float(diff @ diff))
+    def _location_scale(self, vals: list) -> tuple[float, float]:
+        """(L(x), noise_scale(x)) at a checked point."""
+        func, centre = _BENCHMARKS[self.benchmark_id]
+        try:
+            loc = func(vals)
+        except ValueError:
+            # a sine or cosine of an argument that overflowed to inf, where
+            # NumPy's gives nan
+            loc = math.nan
+        total = 0.0
+        for v in vals:
+            d = v - centre
+            total += d * d
+        return loc, math.sqrt(1.0 + 100.0 * total)
 
     def deterministic(self, x) -> float:
         """Noise-free value of the benchmark at x."""
-        return _BENCHMARKS[self.benchmark_id][0](self._point(x))
+        return self._location_scale(self._point(x))[0]
 
     def noise_scale(self, x) -> float:
         """Noise standard deviation sqrt(1 + 100 ||x - centre||^2); always >= 1."""
-        return self._scale(self._point(x))
+        return self._location_scale(self._point(x))[1]
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
         """m independent noisy loss draws at x."""
         m = operator.index(m)
         if m < 1:
             raise ValueError("m must be >= 1")
-        arr = self._point(x)
         # one pass over the draws: NumPy forms loc + scale * z per standard
         # normal z, the stream's standard_normal(m) draws
-        return rng.normal(_BENCHMARKS[self.benchmark_id][0](arr), self._scale(arr), m)
+        return rng.normal(*self._location_scale(self._point(x)), m)
 
     def cvar(self, x, alpha: float) -> float:
         """Exact CVaR at level alpha of the noisy loss at x: the Gaussian
         closed form L(x) + noise_scale(x) * pdf(ppf(alpha)) / (1 - alpha)."""
-        arr = self._point(x)
-        return gaussian_cvar_oracle(
-            _BENCHMARKS[self.benchmark_id][0](arr), self._scale(arr), alpha
-        )
+        return gaussian_cvar_oracle(*self._location_scale(self._point(x)), alpha)
 
 
 def l0_min_cvar_oracle(dim: int, alpha: float) -> tuple[np.ndarray, float]:

@@ -60,7 +60,9 @@ streams in chunks of ``_chunk_rows(m)``, which depends on the draws per
 candidate m alone: chunk c is NumPy's own
 ``generator(substream(seq, *key, c))``, and its candidates draw from it
 one after another, in index order.  A chunk spreads the cost of one
-stream's construction over up to 64 candidates.
+stream's construction over up to 64 candidates.  Every stream is a
+SeedSequence-seeded NumPy SFC64 generator: it draws normals faster than
+PCG64, and each has its own mixed state with a cycle of at least 2^64.
 
 Memory: candidates are simulated and reduced to CVaR estimates in row
 blocks, so a search or re-evaluation holds O(block) loss draws at a time,

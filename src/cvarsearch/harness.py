@@ -394,8 +394,9 @@ _REFERENCE_SEED_FIELDS = (
 _REFERENCE_FIELDS = _REFERENCE_SEED_FIELDS + ("grad_norm_stop", "n_growth_exponent")
 # bump when the reference run changes for an unchanged config; 4 sums each
 # CVaR estimate's tail in sorted order, which can move a reference's last
-# bits, and 5 draws candidates from one stream per chunk, which moves all
-_REFERENCE_SCHEMA = 5
+# bits, 5 draws candidates from one stream per chunk, which moves all,
+# and 6 draws from SFC64 streams with L(x) and s(x) in Python floats
+_REFERENCE_SCHEMA = 6
 
 
 def _fields_hash(config: ExperimentConfig, fields, **extra) -> str:

@@ -8,9 +8,14 @@ runs of the same experiment agree byte for byte.
 
 The stream schema is NumPy's own: ``substream`` returns
 ``SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + path)``,
-and ``generator`` NumPy's ``default_rng`` of it.  The engine builds one
-such stream per chunk of candidates, not per candidate, so that the cost
-of a construction is shared by the candidates of the chunk.
+and ``generator`` a ``Generator`` over NumPy's ``SFC64`` bit generator
+seeded from it.  SFC64 takes about a sixth less time per normal draw than
+PCG64, ``default_rng``'s choice.  Each SeedSequence-seeded SFC64 stream
+starts from its own well-mixed state, and its 64-bit counter gives a cycle
+of at least 2^64 draws (NumPy's SFC64 documentation).  ``generator`` is
+the one place every stream is built.  The engine builds one stream per
+chunk of candidates, not per candidate, so that the cost of a
+construction is shared by the candidates of the chunk.
 """
 
 from __future__ import annotations
@@ -41,4 +46,5 @@ def substream(seq: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
 
 
 def generator(seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.default_rng(seq)
+    """NumPy's SFC64 generator seeded from ``seq``."""
+    return np.random.Generator(np.random.SFC64(seq))

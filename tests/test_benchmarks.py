@@ -1,10 +1,12 @@
 """Benchmark checks against straight-from-the-formula references.
 
 The reference implementations below are deliberately written as plain
-Python loops, independent of the vectorised versions in the package,
-so a transcription slip on either side shows up as a mismatch.
+Python loops straight from the textbook formulas, with ``**`` and
+``sum``, independently of the package's own float loops, so a
+transcription slip on either side shows up as a mismatch.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -131,6 +133,24 @@ class TestFrozenValues:
         assert got == pytest.approx(-1.369189108233949, rel=1e-13)
         got = loss_value("levy", np.array([2.0, -1.0]))
         assert got == pytest.approx(-1.4091554458830253, rel=1e-13)
+
+
+@pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+def test_overflow_is_infinite(benchmark_id):
+    # a square that overflows is inf, as NumPy's is, never an OverflowError;
+    # levy's loss is a negated sum of squares
+    loss = BenchmarkLoss(benchmark_id, 4)
+    want = -math.inf if benchmark_id == "levy" else math.inf
+    for x in itertools.product([1e200, -1e200, 1e160], repeat=4):
+        assert loss.deterministic(x) == want
+        assert loss.noise_scale(x) == math.inf
+
+
+def test_cosine_of_overflowed_argument_is_nan():
+    # 2 pi x overflows to inf at x = 1e308, whose cosine is nan, as in NumPy
+    loss = BenchmarkLoss("rastrigin", 1)
+    assert math.isnan(loss.deterministic([1e308]))
+    assert loss.noise_scale([1e308]) == math.inf
 
 
 class TestSpecValidation:

@@ -52,6 +52,15 @@ def test_benchmark_pinter_point(capsys):
     ]
 
 
+def test_benchmark_overflowing_point(capsys):
+    # squares that overflow are inf, never an OverflowError
+    assert main(["benchmark", "rosenbrock", "1e200", "1e200"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "deterministic_loss=inf",
+        "noise_scale=inf",
+    ]
+
+
 def test_benchmark_with_oracle(capsys):
     assert main(["benchmark", "l0", "0", "0", "--alpha", "0.9"]) == 0
     assert "cvar_oracle=" in capsys.readouterr().out
