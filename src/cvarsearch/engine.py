@@ -59,26 +59,27 @@ evaluation order or worker count.  The candidates of one evaluation share
 streams in chunks of ``_chunk_rows(m)``, which depends on the draws per
 candidate m alone: chunk c is NumPy's own
 ``generator(substream(seq, *key, c))``, and its candidates draw from it
-one after another, in index order.  A chunk spreads the cost of one
-stream's construction over up to 64 candidates.  Every stream is a
+one after another, in index order.  A chunk holds at most 2^16 draws, or
+one candidate when a candidate takes more.  Every stream is a
 SeedSequence-seeded NumPy SFC64 generator: it draws normals faster than
 PCG64, and each has its own mixed state with a cycle of at least 2^64.
 
-Memory: candidates are simulated and reduced to CVaR estimates in row
-blocks, so a search or re-evaluation holds O(block) loss draws at a time,
-not the O(N_k * M_k) loss matrix: at most ``_BLOCK_BYTES`` in total, or
-one row per thread when a row is larger.  The reduction partitions the
-block in place and copies only each row's tail from its VaR up, so its
-transients shrink with 1 - alpha: about a tenth of the block at 0.95.
+Memory: a chunk, the one unit of evaluation work, is simulated into its
+thread's buffer and reduced to CVaR estimates by one call, so a search or
+re-evaluation holds one chunk of loss draws per thread, at most 512 KiB
+or one candidate's draws when they are more, not the O(N_k * M_k) loss
+matrix.  The reduction partitions the chunk in place and copies only
+each row's tail from its VaR up, so its transients shrink with 1 - alpha:
+about a tenth of the chunk at 0.95.
 
 Threads: from ``_THREAD_MIN_DRAWS`` draws per candidate, an evaluation
 splits its chunks into contiguous runs, one per thread, each with its own
-streams, block and slice of the result; below it, starting threads costs
-more than they save.  The thread count is derived, never set: the CPUs
-the process may run on, capped by the chunk count, and lowered in each
-worker of a process pool so that workers x threads stays within the
-CPUs.  A chunk is never split between threads, so no value depends on the
-thread count.
+streams, buffer and slice of the result; below it, starting threads
+costs more than they save.  The thread count is derived, never set: the
+CPUs the process may run on, capped by the chunk count, and lowered in
+each worker of a process pool so that workers x threads stays within the
+CPUs.  A chunk is never split between threads, so no value depends on
+the thread count.
 """
 
 from __future__ import annotations
@@ -129,18 +130,12 @@ _CANDIDATE_REALM = 0
 _LOSS_REALM = 1
 _FINAL_REALM = 2
 
-# bytes of loss draws held at once (at least one row per thread); the CVaR
-# reduction partitions the block in place, and its transients, each row's
-# sorted tail from the VaR up and that tail's excess, take about
-# 2 (1 - alpha) times this size
-_BLOCK_BYTES = 1 << 20
-
 # draws per candidate from which an evaluation is split across threads.
 # On a 2-vCPU host (l0 candidates at alpha 0.95, best of 7 calls per round,
-# sets of 5 rounds), with 1,000 candidates, 16 chunks, 2 threads beat 1 in
-# 4 and 0 of 5 rounds at 1,500 draws and in 4 and 5 of 5 at 2,000.  With
-# 200, 4 chunks split 128/72, they won 8 of 25 rounds at 2,000 and 20 of
-# 25 at 2,500
+# sets of 5 rounds), with 1,000 candidates in chunks of 64, 2 threads beat
+# 1 in 4 and 0 of 5 rounds at 1,500 draws and in 4 and 5 of 5 at 2,000.
+# Threads take whole chunks: 200 candidates at 2,000 draws are 7 chunks of
+# 32, split 96/104, and 2 threads beat 1 in 9 of 10 rounds
 _THREAD_MIN_DRAWS = 2000
 # threads per evaluation; None is every CPU the process may run on
 _THREADS: int | None = None
@@ -164,12 +159,12 @@ class LossModel(Protocol):
     """What the engines require of a loss: ``simulate`` returns exactly m
     fresh noisy simulations, shape (m,); any other shape is refused.
 
-    ``rng`` is the generator of the candidate's chunk, which up to
-    ``_chunk_rows(m)`` candidates share in index order: each call draws on
-    from where the previous candidate's call stopped.  So a loss must draw
-    from it only during the call and must not keep it.  If the number of
-    draws a loss takes depends on x, a candidate's value depends on the
-    earlier candidates of its chunk.
+    ``rng`` is the generator of the candidate's chunk: the ``_chunk_rows(m)``
+    candidates that 2**16 draws hold (one when m is larger) share it in
+    index order, and each call draws on from where the previous candidate's
+    call stopped.  So a loss must draw from it only during the call and
+    must not keep it.  If the number of draws a loss takes depends on x, a
+    candidate's value depends on the earlier candidates of its chunk.
 
     From ``_THREAD_MIN_DRAWS`` draws per candidate, ``simulate`` may run on
     several threads at once, each with its own chunks' generators, so a loss
@@ -325,11 +320,11 @@ def newton_step_vector(theta: np.ndarray, grad: np.ndarray, var_matrix: np.ndarr
 
 
 def _chunk_rows(m: int) -> int:
-    """Candidates that share one stream at m draws each: enough to spread
-    a stream's construction over about 2**18 draws, at most 64.  At the
-    reference search's 50,000 draws that is 5, where 2**16 would give 1
-    and build a stream per candidate."""
-    return max(1, min(64, 2**18 // m))
+    """Candidates in one chunk at m draws each: as many as 2**16 draws hold
+    (512 KiB of losses), or one when a candidate takes more.  A chunk shares
+    one stream, one buffer and one reduction; at 50,000 draws a stream per
+    candidate costs about 3% of the candidate's draws."""
+    return max(1, 2**16 // m)
 
 
 def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
@@ -339,43 +334,37 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     Candidate i is row ``i % C`` of chunk ``i // C``, where C is
     ``_chunk_rows(m)``: chunk c draws from
     ``generator(substream(seq, *key, c))``, its rows from successive
-    ``loss.simulate`` calls on that one generator.  Rows are simulated
-    into one reused buffer per thread, of at most ``_BLOCK_BYTES`` over all
-    threads or of one row when a row is larger, and reduced block by
-    block; each row's estimate depends only on that row, and a block may
-    split a chunk because its rows are drawn in order, so the values
-    depend neither on the block size nor on the thread count.  From
-    ``_THREAD_MIN_DRAWS`` draws each thread takes a contiguous run of
-    whole chunks, and the calling thread takes the first; an error in the
-    lowest failing run reaches the caller after every thread has finished.
+    ``loss.simulate`` calls on that one generator, into its thread's one
+    reused buffer, and is reduced by one ``empirical_cvar`` call.  Each
+    row's estimate depends only on that row, so the values do not depend
+    on the thread count.  From ``_THREAD_MIN_DRAWS`` draws each thread
+    takes a contiguous run of whole chunks, and the calling thread takes
+    the first; an error in the lowest failing run reaches the caller after
+    every thread has finished.
     """
     n = len(xs)
     chunk = _chunk_rows(m)
     chunks = -(-n // chunk)
     threads = min(chunks, _THREADS or _cpu_count()) if m >= _THREAD_MIN_DRAWS else 1
-    rows = max(1, _BLOCK_BYTES // threads // (8 * m))
     out = np.empty(n)
 
-    def fill(lo: int, hi: int):
-        block = np.empty((min(rows, hi - lo), m))
-        for start in range(lo, hi, len(block)):
-            stop = min(start + len(block), hi)
-            for i in range(start, stop):
-                c, row = divmod(i, chunk)
-                if row == 0:
-                    rng = generator(substream(seq, *key, c))
-                draws = loss.simulate(xs[i], m, rng)
+    def fill(first: int, stop: int):
+        buffer = np.empty((min(chunk, n), m))
+        for c in range(first, stop):
+            lo, hi = c * chunk, min(c * chunk + chunk, n)
+            rng = generator(substream(seq, *key, c))
+            for row, x in zip(buffer, xs[lo:hi]):
+                draws = loss.simulate(x, m, rng)
                 if np.shape(draws) != (m,):
                     raise ValueError(
                         f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
-                block[i - start] = draws
-            out[start:stop] = empirical_cvar(block[:stop - start], alpha,
-                                             overwrite_input=True)
+                row[:] = draws
+            out[lo:hi] = empirical_cvar(buffer[:hi - lo], alpha, overwrite_input=True)
 
     if threads == 1:
-        fill(0, n)
+        fill(0, chunks)
         return out
-    bounds = [min(n, chunks * t // threads * chunk) for t in range(threads + 1)]
+    bounds = [chunks * t // threads for t in range(threads + 1)]
     # created per call, so that no thread outlives it (a process pool forks)
     with ThreadPoolExecutor(threads - 1) as pool:
         rest = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]

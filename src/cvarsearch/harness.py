@@ -395,8 +395,9 @@ _REFERENCE_FIELDS = _REFERENCE_SEED_FIELDS + ("grad_norm_stop", "n_growth_expone
 # bump when the reference run changes for an unchanged config; 4 sums each
 # CVaR estimate's tail in sorted order, which can move a reference's last
 # bits, 5 draws candidates from one stream per chunk, which moves all,
-# and 6 draws from SFC64 streams with L(x) and s(x) in Python floats
-_REFERENCE_SCHEMA = 6
+# 6 draws from SFC64 streams with L(x) and s(x) in Python floats, and 7
+# sizes chunks to 2**16 draws, which moves references at every m but 1,024
+_REFERENCE_SCHEMA = 7
 
 
 def _fields_hash(config: ExperimentConfig, fields, **extra) -> str:

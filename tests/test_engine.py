@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -374,14 +375,11 @@ class TestLossEntry:
                               RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=10)
 
 
-def _block_rows(m):
-    return max(1, engine._BLOCK_BYTES // (8 * m))
-
-
-# (n, m): several blocks with a short last one, one-row blocks, one candidate
+# (n, m): four whole chunks and a partial fifth; one-row chunks (m above
+# 2**16); one candidate
 BLOCK_CASES = [
-    (2 * _block_rows(5000) + 3, 5000),
-    (3, engine._BLOCK_BYTES // 8 + 1),
+    (4 * engine._chunk_rows(5000) + 3, 5000),
+    (3, 2**17 + 1),
     (1, 5000),
 ]
 
@@ -456,8 +454,10 @@ class TestBlockedEvaluation:
         want = _one_at_a_time(self.LOSS, xs, alpha, m, seq, engine._LOSS_REALM, 0)
         assert np.array_equal(steps[0], want)
 
-    def test_search_memory_is_bounded_by_the_block(self):
-        # the 400 x 5000 loss matrix alone would take 16 MB
+    def test_search_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # the 400 x 5000 loss matrix alone would take 16 MB; two threads
+        # hold a 512 KiB chunk buffer each
+        monkeypatch.setattr(engine, "_THREADS", 2)
         n, m = 400, 5000
         config = small_config(n_candidates=PowerGrowthSchedule(n, 0.0), max_iterations=2)
         tracemalloc.start()
@@ -486,44 +486,61 @@ class ShortAtLoss:
         return self.inner.simulate(x, m, rng)
 
 
-# (n, m): three whole chunks and a partial fourth, below and above the
-# thread break-even (64 and 104 candidates per chunk)
-CHUNK_CASES = [(3 * engine._chunk_rows(m) + 5, m) for m in (300, 2500)]
+# (n, m): one partial chunk below the thread break-even (218 candidates per
+# chunk); seven whole chunks and a partial eighth above it (26 per chunk);
+# three whole chunks and a partial fourth below it
+CHUNK_CASES = [(197, 300), (197, 2500), (3 * engine._chunk_rows(1500) + 5, 1500)]
 
-# (n, m): two chunks, the second partial, in several blocks with a short
-# last one; one chunk of two candidates; one candidate; one chunk at m
-# just below and at the break-even; and the chunk cases
+# (n, m): four chunks and a partial one; one chunk of two candidates; one
+# candidate; one chunk at m just below and at the break-even; seven chunks
+# that 2 threads split 96/104 at the break-even; and the chunk cases
 THREAD_CASES = BLOCK_CASES[:1] + [
     (2, 5000),
     (1, 5000),
     (7, engine._THREAD_MIN_DRAWS - 1),
     (7, engine._THREAD_MIN_DRAWS),
+    (200, engine._THREAD_MIN_DRAWS),
 ] + CHUNK_CASES
 
 
 def record_ranges(monkeypatch):
-    """Record the chunk streams the engine builds; the returned function
-    gives (first chunk, chunk count, on the calling thread) of each
-    thread's chunks so far, and checks that each thread's are contiguous."""
+    """Record the chunk streams the engine builds by the range that built
+    them: the calling thread's, or a pool task's, since one pool thread may
+    run two tasks when the first ends before the second is submitted.  The
+    returned function gives (first chunk, chunk count, on the calling
+    thread) of each range so far, and checks that each range's chunks are
+    contiguous."""
     built = []
     caller = threading.get_ident()
+    running = threading.local()
+
+    class TaskPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            task = object()
+
+            def run():
+                running.task = task
+                return fn(*args)
+
+            return super().submit(run)
 
     def recording_substream(seq, *key):
-        built.append((key[-1], threading.get_ident()))
+        built.append((key[-1], None if threading.get_ident() == caller else running.task))
         return build(seq, *key)
 
     def ranges():
-        by_thread = {}
-        for c, thread in built:
-            by_thread.setdefault(thread, []).append(c)
+        by_range = {}
+        for c, task in built:
+            by_range.setdefault(task, []).append(c)
         out = []
-        for thread, chunks in by_thread.items():
+        for task, chunks in by_range.items():
             assert chunks == list(range(chunks[0], chunks[0] + len(chunks)))
-            out.append((chunks[0], len(chunks), thread == caller))
+            out.append((chunks[0], len(chunks), task is None))
         return sorted(out)
 
     build = engine.substream
     monkeypatch.setattr(engine, "substream", recording_substream)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", TaskPool)
     return ranges
 
 
@@ -592,22 +609,8 @@ class TestChunkedStreams:
     LOSS = BenchmarkLoss("l0", 2)
 
     def test_chunk_rows(self):
-        assert [engine._chunk_rows(m) for m in (1, 4096, 5000, 50_000, 2**18 + 1)] == [
-            64, 64, 52, 5, 1]
-
-    @pytest.mark.parametrize("n,m", CHUNK_CASES)
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_small_blocks_split_chunks(self, n, m, threads, monkeypatch):
-        # 7 rows over all threads: blocks of 7, 3 and 2 rows
-        monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * m * 7)
-        monkeypatch.setattr(engine, "_THREADS", threads)
-        ranges = record_ranges(monkeypatch)
-        xs = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 2))
-        got = evaluate_candidates(self.LOSS, xs, 0.95, m, 11)
-        want = _one_at_a_time(self.LOSS, xs, 0.95, m, as_seed_sequence(11))
-        assert np.array_equal(got, want)
-        split = m >= engine._THREAD_MIN_DRAWS
-        assert ranges() == expected_ranges(n, m, threads if split else 1)
+        ms = (1, 1024, 1025, 5000, 2**16, 2**16 + 1)
+        assert [engine._chunk_rows(m) for m in ms] == [65536, 64, 63, 13, 1, 1]
 
     @pytest.mark.parametrize("n,m", CHUNK_CASES)
     @pytest.mark.parametrize("threads", [1, 2])

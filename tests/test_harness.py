@@ -587,12 +587,12 @@ class TestReference:
         assert [p.name for p in tmp_path.iterdir()] == ["reference_cache.json"]
 
     def test_entry_of_an_older_schema_misses(self, tmp_path):
-        # benchmarks draw from SFC64 streams and compute their location and
-        # scale in Python floats since schema 6, which moves non-l0
-        # references, so a value cached under schema 5 is not served
+        # chunks hold 2**16 draws since schema 7, which moves non-l0
+        # references at every m but 1,024, so a value cached under schema 6
+        # is not served
         config = self.search_config()
         want = emit_reference_run(config)
-        old_key = harness._fields_hash(config, harness._REFERENCE_FIELDS, schema=5)
+        old_key = harness._fields_hash(config, harness._REFERENCE_FIELDS, schema=6)
         assert old_key != harness._reference_key(config)
         cache_path = tmp_path / "reference_cache.json"
         cache_path.write_text(json.dumps({old_key: 123.0}))
