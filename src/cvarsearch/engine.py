@@ -72,14 +72,14 @@ matrix.  The reduction partitions the chunk in place and copies only
 each row's tail from its VaR up, so its transients shrink with 1 - alpha:
 about a tenth of the chunk at 0.95.
 
-Threads: from ``_THREAD_MIN_DRAWS`` draws per candidate, an evaluation
-splits its chunks into contiguous runs, one per thread, each with its own
-streams, buffer and slice of the result; below it, starting threads
-costs more than they save.  The thread count is derived, never set: the
-CPUs the process may run on, capped by the chunk count, and lowered in
-each worker of a process pool so that workers x threads stays within the
-CPUs.  A chunk is never split between threads, so no value depends on
-the thread count.
+Threads: from ``_THREAD_MIN_DRAWS`` draws per candidate, the threads of
+an evaluation claim its chunks one at a time from one shared iterator
+until none is left, so a thread that starts late claims fewer; below it,
+starting threads costs more than they save.  The thread count is
+derived, never set: the CPUs the process may run on, capped by the chunk
+count, and lowered in each worker of a process pool so that workers x
+threads stays within the CPUs.  A chunk is never split between threads,
+so no value depends on the thread count or on which thread took a chunk.
 """
 
 from __future__ import annotations
@@ -130,13 +130,11 @@ _CANDIDATE_REALM = 0
 _LOSS_REALM = 1
 _FINAL_REALM = 2
 
-# draws per candidate from which an evaluation is split across threads.
-# On a 2-vCPU host (l0 candidates at alpha 0.95, best of 7 calls per round,
-# sets of 5 rounds), with 1,000 candidates in chunks of 64, 2 threads beat
-# 1 in 4 and 0 of 5 rounds at 1,500 draws and in 4 and 5 of 5 at 2,000.
-# Threads take whole chunks: 200 candidates at 2,000 draws are 7 chunks of
-# 32, split 96/104, and 2 threads beat 1 in 9 of 10 rounds
-_THREAD_MIN_DRAWS = 2000
+# draws per candidate from which an evaluation runs on several threads.
+# On a 2-vCPU host (1,000 l0 candidates at alpha 0.95, best of 7 calls per
+# round, sets of 5 rounds), 2 threads claiming chunks beat 1 in 1 and 2 of
+# 5 rounds at 1,000 draws, 5 and 4 of 5 at 1,500, and 5 and 5 of 5 at 2,000
+_THREAD_MIN_DRAWS = 1500
 # threads per evaluation; None is every CPU the process may run on
 _THREADS: int | None = None
 
@@ -335,22 +333,24 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     ``_chunk_rows(m)``: chunk c draws from
     ``generator(substream(seq, *key, c))``, its rows from successive
     ``loss.simulate`` calls on that one generator, into its thread's one
-    reused buffer, and is reduced by one ``empirical_cvar`` call.  Each
-    row's estimate depends only on that row, so the values do not depend
-    on the thread count.  From ``_THREAD_MIN_DRAWS`` draws each thread
-    takes a contiguous run of whole chunks, and the calling thread takes
-    the first; an error in the lowest failing run reaches the caller after
-    every thread has finished.
+    reused buffer, and is reduced by one ``empirical_cvar`` call, so each
+    estimate depends on its chunk index and row alone.  From
+    ``_THREAD_MIN_DRAWS`` draws every thread, the calling one included,
+    takes the next unclaimed chunk from one shared range iterator, whose
+    ``next`` holds the interpreter lock, until none is left.  The calling
+    thread's error, else the first failed pool task's, reaches the caller
+    once every thread has stopped.
     """
     n = len(xs)
     chunk = _chunk_rows(m)
     chunks = -(-n // chunk)
     threads = min(chunks, _THREADS or _cpu_count()) if m >= _THREAD_MIN_DRAWS else 1
     out = np.empty(n)
+    todo = iter(range(chunks))
 
-    def fill(first: int, stop: int):
+    def fill():
         buffer = np.empty((min(chunk, n), m))
-        for c in range(first, stop):
+        for c in todo:
             lo, hi = c * chunk, min(c * chunk + chunk, n)
             rng = generator(substream(seq, *key, c))
             for row, x in zip(buffer, xs[lo:hi]):
@@ -362,13 +362,12 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
             out[lo:hi] = empirical_cvar(buffer[:hi - lo], alpha, overwrite_input=True)
 
     if threads == 1:
-        fill(0, chunks)
+        fill()
         return out
-    bounds = [chunks * t // threads for t in range(threads + 1)]
     # created per call, so that no thread outlives it (a process pool forks)
     with ThreadPoolExecutor(threads - 1) as pool:
-        rest = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        fill(bounds[0], bounds[1])
+        rest = [pool.submit(fill) for _ in range(threads - 1)]
+        fill()
         for future in rest:
             future.result()
     return out

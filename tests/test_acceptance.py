@@ -304,7 +304,7 @@ def test_criterion_7_determinism_across_workers(tmp_path):
 
 def test_criterion_7_determinism_across_threads(tmp_path, monkeypatch):
     # the desk run's re-evaluations (final_eval_budget draws each) are the
-    # evaluations large enough to be split across threads
+    # evaluations large enough to run on several threads
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = load_config(CONFIGS / "desk_l0.yaml")

@@ -472,85 +472,68 @@ class TestBlockedEvaluation:
 
 class ShortAtLoss:
     """Benchmark loss that returns one draw, not m, at the candidate whose
-    first coordinate is ``short_at``, and records the thread it did so on."""
+    first coordinate is ``short_at``."""
 
     def __init__(self, dim, short_at):
         self.inner = BenchmarkLoss("l0", dim)
         self.short_at = short_at
-        self.short_thread = None
 
     def simulate(self, x, m, rng):
         if x[0] == self.short_at:
-            self.short_thread = threading.get_ident()
             return np.zeros(1)
         return self.inner.simulate(x, m, rng)
 
 
 # (n, m): one partial chunk below the thread break-even (218 candidates per
 # chunk); seven whole chunks and a partial eighth above it (26 per chunk);
-# three whole chunks and a partial fourth below it
+# three whole chunks and a partial fourth at it (43 per chunk)
 CHUNK_CASES = [(197, 300), (197, 2500), (3 * engine._chunk_rows(1500) + 5, 1500)]
 
 # (n, m): four chunks and a partial one; one chunk of two candidates; one
-# candidate; one chunk at m just below and at the break-even; seven chunks
-# that 2 threads split 96/104 at the break-even; and the chunk cases
+# candidate; one chunk of seven at 1,999 and 2,000 draws; seven chunks of
+# 32; five chunks of 43 just below and at the break-even; and the chunk
+# cases
 THREAD_CASES = BLOCK_CASES[:1] + [
     (2, 5000),
     (1, 5000),
-    (7, engine._THREAD_MIN_DRAWS - 1),
-    (7, engine._THREAD_MIN_DRAWS),
+    (7, 1999),
+    (7, 2000),
+    (200, 2000),
+    (200, engine._THREAD_MIN_DRAWS - 1),
     (200, engine._THREAD_MIN_DRAWS),
 ] + CHUNK_CASES
 
 
-def record_ranges(monkeypatch):
-    """Record the chunk streams the engine builds by the range that built
-    them: the calling thread's, or a pool task's, since one pool thread may
-    run two tasks when the first ends before the second is submitted.  The
-    returned function gives (first chunk, chunk count, on the calling
-    thread) of each range so far, and checks that each range's chunks are
-    contiguous."""
-    built = []
-    caller = threading.get_ident()
-    running = threading.local()
+def record_claims(monkeypatch):
+    """Record the chunk stream the engine builds, with the thread that
+    built it, and the worker count of every thread pool it starts."""
+    built, pools = [], []
 
-    class TaskPool(ThreadPoolExecutor):
-        def submit(self, fn, *args):
-            task = object()
-
-            def run():
-                running.task = task
-                return fn(*args)
-
-            return super().submit(run)
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
 
     def recording_substream(seq, *key):
-        built.append((key[-1], None if threading.get_ident() == caller else running.task))
+        built.append((key[-1], threading.get_ident()))
         return build(seq, *key)
-
-    def ranges():
-        by_range = {}
-        for c, task in built:
-            by_range.setdefault(task, []).append(c)
-        out = []
-        for task, chunks in by_range.items():
-            assert chunks == list(range(chunks[0], chunks[0] + len(chunks)))
-            out.append((chunks[0], len(chunks), task is None))
-        return sorted(out)
 
     build = engine.substream
     monkeypatch.setattr(engine, "substream", recording_substream)
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", TaskPool)
-    return ranges
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
+    return built, pools
 
 
-def expected_ranges(n, m, threads):
-    """Contiguous runs of whole chunks, one per thread, at most one thread
-    per chunk; the calling thread takes the first."""
+def assert_claimed_once(claims, n, m, threads):
+    """Each chunk's stream was built exactly once, by at most
+    min(threads, chunks) threads, and a pool was started for the threads
+    beyond the calling one only from the break-even on."""
+    built, pools = claims
     chunks = -(-n // engine._chunk_rows(m))
-    threads = min(threads, chunks)
-    bounds = [chunks * t // threads for t in range(threads + 1)]
-    return [(lo, hi - lo, t == 0) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    threads = min(threads, chunks) if m >= engine._THREAD_MIN_DRAWS else 1
+    assert sorted(c for c, _ in built) == list(range(chunks))
+    assert len({thread for _, thread in built}) <= threads
+    assert pools == ([threads - 1] if threads > 1 else [])
 
 
 class TestThreadedEvaluation:
@@ -561,26 +544,74 @@ class TestThreadedEvaluation:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_matches_one_at_a_time(self, n, m, alpha, threads, monkeypatch):
         monkeypatch.setattr(engine, "_THREADS", threads)
-        ranges = record_ranges(monkeypatch)
+        claims = record_claims(monkeypatch)
         xs = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 2))
         got = evaluate_candidates(self.LOSS, xs, alpha, m, 11)
         want = _one_at_a_time(self.LOSS, xs, alpha, m, as_seed_sequence(11))
         assert np.array_equal(got, want)
-        split = m >= engine._THREAD_MIN_DRAWS
-        assert ranges() == expected_ranges(n, m, threads if split else 1)
+        assert_claimed_once(claims, n, m, threads)
 
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        ranges = record_ranges(monkeypatch)
+        claims = record_claims(monkeypatch)
         m = engine._THREAD_MIN_DRAWS
         n = 4 * engine._chunk_rows(m)
         xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(n, 2))
         evaluate_candidates(self.LOSS, xs, 0.9, m, 11)
-        assert ranges() == expected_ranges(n, m, 3)
+        assert_claimed_once(claims, n, m, 3)
+
+    def test_late_pool_threads_leave_every_chunk_to_the_caller(self, monkeypatch):
+        # the pool's tasks wait until the calling thread asks for their
+        # results, which it does once its own share of the work is done
+        monkeypatch.setattr(engine, "_THREADS", 3)
+        claims = record_claims(monkeypatch)
+        released = threading.Event()
+
+        class LatePool(engine.ThreadPoolExecutor):
+            def submit(self, fn):
+                def late():
+                    released.wait(timeout=10)
+                    return fn()
+
+                future = super().submit(late)
+                result = future.result
+
+                def release_then_result(*a, **kw):
+                    released.set()
+                    return result(*a, **kw)
+
+                future.result = release_then_result
+                return future
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", LatePool)
+        m = engine._THREAD_MIN_DRAWS
+        n = 4 * engine._chunk_rows(m) + 3
+        xs = np.random.default_rng(7).uniform(-2.0, 2.0, size=(n, 2))
+        got = evaluate_candidates(self.LOSS, xs, 0.95, m, 11)
+        assert np.array_equal(got, _one_at_a_time(self.LOSS, xs, 0.95, m, as_seed_sequence(11)))
+        assert_claimed_once(claims, n, m, 3)
+        assert {thread for _, thread in claims[0]} == {threading.get_ident()}
+
+    def test_each_chunk_claimed_once_under_fast_switches(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter
+        # allows: a chunk claimed twice, or never, shows in the streams built
+        monkeypatch.setattr(engine, "_THREADS", 5)
+        m = engine._THREAD_MIN_DRAWS
+        n = 40 * engine._chunk_rows(m) + 1
+        claims = record_claims(monkeypatch)
+        xs = np.random.default_rng(9).uniform(-2.0, 2.0, size=(n, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = evaluate_candidates(self.LOSS, xs, 0.95, m, 11)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, _one_at_a_time(self.LOSS, xs, 0.95, m, as_seed_sequence(11)))
+        assert_claimed_once(claims, n, m, 5)
 
     # the first candidate, and the first of the second chunk
     @pytest.mark.parametrize("bad", [0, engine._chunk_rows(engine._THREAD_MIN_DRAWS)],
-                             ids=["calling_range", "worker_range"])
+                             ids=["first_chunk", "second_chunk"])
     def test_short_draws_reach_the_caller(self, bad, monkeypatch):
         monkeypatch.setattr(engine, "_THREADS", 2)
         m = engine._THREAD_MIN_DRAWS
@@ -590,7 +621,6 @@ class TestThreadedEvaluation:
         with pytest.raises(ValueError, match=re.escape(f"shape (1,), expected ({m},)")):
             evaluate_candidates(loss, xs, 0.9, m, 0)
         assert threading.active_count() == before
-        assert (loss.short_thread == threading.get_ident()) == (bad == 0)
 
 
 class NormalLoss:
