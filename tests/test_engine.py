@@ -505,7 +505,7 @@ THREAD_CASES = BLOCK_CASES[:1] + [
 
 
 def record_claims(monkeypatch):
-    """Record the chunk stream the engine builds, with the thread that
+    """Record each chunk stream the engine builds, with the thread that
     built it, and the worker count of every thread pool it starts."""
     built, pools = [], []
 
