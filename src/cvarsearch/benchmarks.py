@@ -25,12 +25,11 @@ targets without analytic optima.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import gaussian_cvar_oracle
+from .risk import _check_count, gaussian_cvar_oracle
 
 __all__ = [
     "BENCHMARK_IDS",
@@ -143,9 +142,7 @@ class BenchmarkLoss:
             raise ValueError(
                 f"unknown benchmark {self.benchmark_id!r}, expected one of {BENCHMARK_IDS}"
             )
-        object.__setattr__(self, "dim", operator.index(self.dim))
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        object.__setattr__(self, "dim", _check_count(self.dim, "dim"))
         if self.benchmark_id == "powell" and self.dim < 4:
             raise ValueError("powell requires dim >= 4")
 
@@ -183,9 +180,7 @@ class BenchmarkLoss:
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
         """m independent noisy loss draws at x."""
-        m = operator.index(m)
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        m = _check_count(m, "m")
         # one pass over the draws: NumPy forms loc + scale * z per standard
         # normal z, the stream's standard_normal(m) draws
         return rng.normal(*self._location_scale(self._point(x)), m)
@@ -206,9 +201,7 @@ def l0_min_cvar_oracle(dim: int, alpha: float) -> tuple[np.ndarray, float]:
     of its slope is bisected there to machine precision.  At alpha = 0,
     c = 0 and the minimum is the origin.
     """
-    dim = operator.index(dim)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = _check_count(dim, "dim")
     c = gaussian_cvar_oracle(0.0, 1.0, alpha)  # checks alpha
     lo, hi, mid = 0.0, 1.0, 0.5
     while lo < mid < hi:

@@ -22,6 +22,7 @@ import sys
 
 from . import harness
 from .benchmarks import BENCHMARK_IDS, BenchmarkLoss, l0_min_cvar_oracle
+from .risk import _check_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,8 +73,8 @@ def _cmd_run(args) -> int:
         overrides["replications"] = args.replications
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    if args.workers < 1:
-        raise harness.ConfigError("config key 'workers': must be >= 1")
+    with harness._keys("workers"):
+        _check_count(args.workers, "workers")
     _make_out_dir(args.out)
     reference = harness.emit_reference_run(config, cache_dir=args.out)
     result = harness.run_experiment(config, workers=args.workers,

@@ -85,7 +85,6 @@ so no value depends on the thread count or on which thread took a chunk.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,7 +92,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .risk import _check_alpha, empirical_cvar
+from .risk import _check_alpha, _check_count, empirical_cvar
 from .sampling import (
     ProjectionBox,
     SamplingParams,
@@ -208,8 +207,7 @@ class PowerGrowthSchedule:
     exponent: float
 
     def __post_init__(self):
-        if not self.base >= 2:
-            raise ValueError(f"candidate count base must be >= 2, got {self.base}")
+        _check_count(self.base, "candidate count base", 2)
         if not (math.isfinite(self.exponent) and self.exponent >= 0):
             raise ValueError(f"growth exponent must be finite and >= 0, got {self.exponent}")
 
@@ -233,11 +231,10 @@ class GassConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if operator.index(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be >= 1")
+        object.__setattr__(self, "max_iterations",
+                           _check_count(self.max_iterations, "max_iterations"))
         if not (math.isfinite(self.grad_norm_stop) and self.grad_norm_stop >= 0):
             raise ValueError("grad_norm_stop must be finite and >= 0")
-        object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
 
 
 def _trace_dtype(dim: int) -> np.dtype:
@@ -337,9 +334,10 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     estimate depends on its chunk index and row alone.  From
     ``_THREAD_MIN_DRAWS`` draws every thread, the calling one included,
     takes the next unclaimed chunk from one shared range iterator, whose
-    ``next`` holds the interpreter lock, until none is left.  The calling
-    thread's error, else the first failed pool task's, reaches the caller
-    once every thread has stopped.
+    ``next`` holds the interpreter lock, until none is left.  A thread that
+    fails takes every chunk still unclaimed, so the others stop after
+    their current chunk.  The calling thread's error, else the first failed
+    pool task's, reaches the caller once every thread has stopped.
     """
     n = len(xs)
     chunk = _chunk_rows(m)
@@ -350,16 +348,22 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
 
     def fill():
         buffer = np.empty((min(chunk, n), m))
-        for c in todo:
-            lo, hi = c * chunk, min(c * chunk + chunk, n)
-            rng = generator(substream(seq, *key, c))
-            for row, x in zip(buffer, xs[lo:hi]):
-                draws = loss.simulate(x, m, rng)
-                if np.shape(draws) != (m,):
-                    raise ValueError(
-                        f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
-                row[:] = draws
-            out[lo:hi] = empirical_cvar(buffer[:hi - lo], alpha, overwrite_input=True)
+        try:
+            for c in todo:
+                lo, hi = c * chunk, min(c * chunk + chunk, n)
+                rng = generator(substream(seq, *key, c))
+                for row, x in zip(buffer, xs[lo:hi]):
+                    draws = loss.simulate(x, m, rng)
+                    if np.shape(draws) != (m,):
+                        raise ValueError(
+                            f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
+                    row[:] = draws
+                out[lo:hi] = empirical_cvar(buffer[:hi - lo], alpha, overwrite_input=True)
+        finally:
+            # a thread that stops on an error leaves no chunk to claim, so
+            # the others stop after their current one
+            for _ in todo:
+                pass
 
     if threads == 1:
         fill()
@@ -384,11 +388,8 @@ def evaluate_candidates(loss: LossModel, candidates: Sequence, alpha: float,
     """
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
-    alpha = _check_alpha(alpha)
-    budget = operator.index(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    return _candidate_cvars(loss, candidates, alpha, budget, as_seed_sequence(seed))
+    return _candidate_cvars(loss, candidates, _check_alpha(alpha),
+                            _check_count(budget, "budget"), as_seed_sequence(seed))
 
 
 def _step(params: SamplingParams, xs: np.ndarray, cvars: np.ndarray, k: int,
@@ -448,18 +449,15 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     which keeps large-budget runs such as the reference optimum at one
     extra candidate evaluation.
     """
-    m = operator.index(inner_budget)
-    if m < 1:
-        raise ValueError(f"inner_budget must be >= 1, got {m}")
-    if operator.index(final_eval_budget) < 1:
-        raise ValueError("final_eval_budget must be >= 1")
+    m = _check_count(inner_budget, "inner_budget")
+    final_eval_budget = _check_count(final_eval_budget, "final_eval_budget")
     schedule = RiskSchedule.start(alpha_star, alpha_star)
     seed_seq = as_seed_sequence(seed)
     records, terminated = _run_search(config, loss, seed_seq, schedule, lambda alpha: m)
     j = int(np.argmin(records.best_cvar_estimate))
     best = records.best_candidate[j]
     final_value = _candidate_cvars(
-        loss, [best], schedule.alpha_target, int(final_eval_budget),
+        loss, [best], schedule.alpha_target, final_eval_budget,
         substream(seed_seq, _FINAL_REALM, j),
     )[0]
     return RunResult(
@@ -467,7 +465,7 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
         final_best_candidate=best,
         final_best_cvar=float(final_value),
         terminated_by=terminated,
-        final_eval_count=int(final_eval_budget),
+        final_eval_count=final_eval_budget,
     )
 
 
@@ -482,8 +480,7 @@ def run_gass_cvar_arl(config: GassConfig, loss: LossModel, schedule: RiskSchedul
     best candidate is re-evaluated at the target level with fresh
     simulations and the argmin of those values is reported.
     """
-    if operator.index(final_eval_budget) < 1:
-        raise ValueError("final_eval_budget must be >= 1")
+    final_eval_budget = _check_count(final_eval_budget, "final_eval_budget")
     seed_seq = as_seed_sequence(seed)
     alpha_star = schedule.alpha_target
     records, terminated = _run_search(
@@ -501,5 +498,5 @@ def run_gass_cvar_arl(config: GassConfig, loss: LossModel, schedule: RiskSchedul
         final_best_cvar=float(values[j]),
         terminated_by=terminated,
         record_values=values,
-        final_eval_count=int(final_eval_budget) * len(records),
+        final_eval_count=final_eval_budget * len(records),
     )

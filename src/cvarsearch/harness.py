@@ -31,7 +31,6 @@ import hashlib
 import json
 import logging
 import math
-import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +50,7 @@ from .engine import (
     run_gass_cvar,
     run_gass_cvar_arl,
 )
+from .risk import _check_count
 from .sampling import ProjectionBox, SamplingParams
 from .schedule import RiskSchedule, inner_sample_size
 from .shaping import ShapeConfig
@@ -174,13 +174,10 @@ def _validate(c: ExperimentConfig):
         _fail("mean_init_lo", "initial-mean range must lie inside the mean box")
     if not (c.var_box_lo <= c.var_init <= c.var_box_hi):
         _fail("var_init", "must lie inside the variance box")
-    if c.replications < 1:
-        _fail("replications", "must be >= 1")
-    if c.master_seed < 0:
-        _fail("master_seed", "must be >= 0")
-    for key in ("final_eval_budget", "reference_inner_budget"):
-        if getattr(c, key) < 1:
-            _fail(key, "must be >= 1")
+    for key, least in (("replications", 1), ("master_seed", 0), ("final_eval_budget", 1),
+                       ("reference_inner_budget", 1)):
+        with _keys(key):
+            _check_count(getattr(c, key), key, least)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -271,9 +268,7 @@ class ReplicationOutcome:
 
 def run_replication(config: ExperimentConfig, rep: int) -> ReplicationOutcome:
     """Run one replication; depends only on (config, rep)."""
-    rep = operator.index(rep)
-    if not 0 <= rep:
-        raise ValueError("rep must be >= 0")
+    rep = _check_count(rep, "rep", 0)
     gcfg, loss, seed = _search_inputs(
         config, substream(as_seed_sequence(config.master_seed), rep))
     # fixed-level GASS-CVaR is the ramp started at its target
@@ -349,9 +344,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     reference optimum is computed, without a cache, unless passed in; the
     ratio curves divide by it, so it must be finite and nonzero.
     """
-    workers = operator.index(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = _check_count(workers, "workers")
     if reference_value is None:
         reference_value = emit_reference_run(config)
     reference_value = float(reference_value)

@@ -16,6 +16,7 @@ Functions accept a single sample set of shape (M,) or a batch of shape
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -90,11 +91,21 @@ def _check_losses(losses) -> np.ndarray:
     return arr
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float, name: str = "alpha") -> float:
+    """The risk-level rule of the package: alpha as a float in [0, 1)."""
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+        raise ValueError(f"{name} must lie in [0, 1), got {alpha}")
     return alpha
+
+
+def _check_count(value, name: str, least: int = 1) -> int:
+    """The count rule of the package: value as an int >= least.  A float
+    is a TypeError, never truncated."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _partition(arr: np.ndarray, alpha: float,

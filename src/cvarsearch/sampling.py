@@ -19,10 +19,11 @@ statistic space share one layout of length 2 D.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .risk import _check_count
 
 __all__ = [
     "SamplingParams",
@@ -116,9 +117,7 @@ def sample(params: SamplingParams, n: int, rng: np.random.Generator) -> np.ndarr
     The draw is a single batched call, so the result is bit-identical for a
     given generator state regardless of surrounding code.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count(n, "n")
     std = np.sqrt(params.variance)
     return params.mean + std * rng.standard_normal((n, params.dim))
 

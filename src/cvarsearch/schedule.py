@@ -20,8 +20,9 @@ expected number of tail samples stays constant: ceil(eff / (1 - alpha)).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+
+from .risk import _check_alpha, _check_count
 
 __all__ = ["RiskSchedule", "update_risk_level", "inner_sample_size"]
 
@@ -42,8 +43,7 @@ class RiskSchedule:
     gap: float | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha_target < 1.0):
-            raise ValueError(f"alpha_target must lie in [0, 1), got {self.alpha_target}")
+        _check_alpha(self.alpha_target, "alpha_target")
         if not (0.0 <= self.alpha_current <= self.alpha_target):
             raise ValueError(
                 f"alpha_current must lie in [0, alpha_target], got {self.alpha_current}"
@@ -89,9 +89,5 @@ def update_risk_level(schedule: RiskSchedule, grad_norm: float) -> RiskSchedule:
 
 def inner_sample_size(alpha: float, effective_size: int) -> int:
     """Per-candidate simulation count ceil(effective_size / (1 - alpha))."""
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    effective_size = operator.index(effective_size)
-    if effective_size < 2:
-        raise ValueError(f"effective_size must be >= 2, got {effective_size}")
-    return math.ceil(effective_size / (1.0 - alpha))
+    alpha = _check_alpha(alpha)
+    return math.ceil(_check_count(effective_size, "effective_size", 2) / (1.0 - alpha))

@@ -189,6 +189,17 @@ def test_run_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.filterwarnings(CONSTANT_COUNTS)
+def test_run_zero_workers_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypatch):
+    calls = count_simulate(monkeypatch)
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path)
+    assert main(["run", str(config), "--workers", "0", "--out", str(out_dir)]) == 2
+    assert "config key 'workers': workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert calls == []
+
+
+@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_reference_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypatch):
     calls = count_simulate(monkeypatch)
     config = write_config(tmp_path, benchmark="rosenbrock", reference_n_candidates=6,

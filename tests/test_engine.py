@@ -472,15 +472,22 @@ class TestBlockedEvaluation:
 
 class ShortAtLoss:
     """Benchmark loss that returns one draw, not m, at the candidate whose
-    first coordinate is ``short_at``."""
+    first coordinate is ``short_at``.  It counts its ``simulate`` calls
+    under a lock, and notes the count at the short draw."""
 
     def __init__(self, dim, short_at):
         self.inner = BenchmarkLoss("l0", dim)
         self.short_at = short_at
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.calls_at_short = None
 
     def simulate(self, x, m, rng):
-        if x[0] == self.short_at:
-            return np.zeros(1)
+        with self.lock:
+            self.calls += 1
+            if x[0] == self.short_at:
+                self.calls_at_short = self.calls
+                return np.zeros(1)
         return self.inner.simulate(x, m, rng)
 
 
@@ -621,6 +628,18 @@ class TestThreadedEvaluation:
         with pytest.raises(ValueError, match=re.escape(f"shape (1,), expected ({m},)")):
             evaluate_candidates(loss, xs, 0.9, m, 0)
         assert threading.active_count() == before
+
+    def test_first_error_stops_the_other_threads(self, monkeypatch):
+        # the failing thread takes every unclaimed chunk, so after the short
+        # draw each other thread finishes at most the chunk it holds and one
+        # it claimed before that
+        monkeypatch.setattr(engine, "_THREADS", 2)
+        m = 1500
+        xs = np.arange(2.0 * 1720).reshape(-1, 2)
+        loss = ShortAtLoss(2, short_at=xs[0, 0])
+        with pytest.raises(ValueError, match=re.escape(f"shape (1,), expected ({m},)")):
+            evaluate_candidates(loss, xs, 0.9, m, 0)
+        assert loss.calls - loss.calls_at_short <= 2 * engine._chunk_rows(m)
 
 
 class NormalLoss:
@@ -787,6 +806,7 @@ class TestIntegerCounts:
     LOSS = BenchmarkLoss("l0", 2)
     CASES = {
         "max_iterations": lambda loss: small_config(max_iterations=2.5),
+        "growth_base": lambda loss: PowerGrowthSchedule(2.5, 0.0),
         "dim": lambda loss: BenchmarkLoss("l0", 2.7),
         "simulate_m": lambda loss: loss.simulate(np.zeros(2), 3.9, np.random.default_rng(0)),
         "effective_size": lambda loss: inner_sample_size(0.5, 30.9),

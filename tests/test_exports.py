@@ -23,8 +23,7 @@ def test_all_names_resolve(name):
 
 
 # Run in a fresh interpreter: the CLI import, both oracles, an l0 experiment
-# and a non-l0 reference search, then report which SciPy modules got
-# loaded: of scipy.stats and scipy.optimize, and of all of SciPy.
+# and a non-l0 reference search, then report which SciPy modules got loaded.
 _IMPORT_GRAPH_RUN = """
 import json, sys
 import numpy as np
@@ -42,15 +41,13 @@ result = run_experiment(ExperimentConfig(**tiny))
 reference = emit_reference_run(ExperimentConfig(**dict(
     tiny, benchmark="rosenbrock", dim=3, reference_n_candidates=6,
     reference_inner_budget=50, reference_max_iterations=2)), cache_dir=sys.argv[1])
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"]))
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"ran": [oracle, exact, len(result.outcomes), reference], "loaded": loaded,
-                  "scipy": scipy}))
+print(json.dumps({"ran": [oracle, exact, len(result.outcomes), reference], "scipy": scipy}))
 """
 
 
-def _import_graph_report(tmp_path) -> dict:
+def test_no_scipy_loaded(tmp_path):
+    # SciPy is a test dependency only; the package runs on NumPy and PyYAML
     src = str(Path(cvarsearch.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -59,13 +56,4 @@ def _import_graph_report(tmp_path) -> dict:
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert all(math.isfinite(v) for v in report["ran"])
-    return report
-
-
-def test_no_scipy_stats_or_optimize_loaded(tmp_path):
-    assert _import_graph_report(tmp_path)["loaded"] == []
-
-
-def test_no_scipy_loaded(tmp_path):
-    # SciPy is a test dependency only; the package runs on NumPy and PyYAML
-    assert _import_graph_report(tmp_path)["scipy"] == []
+    assert report["scipy"] == []

@@ -123,7 +123,7 @@ class TestConfigValidation:
             ("reference_n_candidates", 1, "config key 'reference_n_candidates', "
              "'n_growth_exponent': candidate count base must be >= 2, got 1"),
             ("reference_max_iterations", 0, "config key 'epsilon', "
-             "'reference_max_iterations', 'grad_norm_stop': max_iterations must be >= 1"),
+             "'reference_max_iterations', 'grad_norm_stop': max_iterations must be >= 1, got 0"),
         ],
         ids=["step_gamma", "reference_n_candidates", "reference_max_iterations"],
     )
