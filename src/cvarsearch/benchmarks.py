@@ -125,10 +125,10 @@ BENCHMARK_IDS = tuple(_BENCHMARKS)
 class BenchmarkLoss:
     """One benchmark at one dimension: the loss model the engines consume.
 
-    The id and the dimension are checked on construction, every point on
-    entry to a method.  A point becomes a list of Python floats, and one
-    private ``_location_scale`` computes L(x) and noise_scale(x) on it for
-    every method: a search evaluates one small point per candidate, where
+    The id and the dimension are checked on construction.  One private
+    ``_location_scale`` serves every method: it checks the point, turns it
+    into a list of Python floats and computes L(x) and noise_scale(x) on
+    it, because a search evaluates one small point per candidate, where
     plain float arithmetic is several times cheaper than NumPy calls.
     ``simulate`` is then one ``rng.normal(L(x), noise_scale(x), m)`` call.
     A value that overflows is inf, as in NumPy, never an OverflowError.
@@ -146,17 +146,14 @@ class BenchmarkLoss:
         if self.benchmark_id == "powell" and self.dim < 4:
             raise ValueError("powell requires dim >= 4")
 
-    def _point(self, x) -> list:
+    def _location_scale(self, x) -> tuple[float, float]:
+        """(L(x), noise_scale(x)) at x, checked: a finite point of shape (dim,)."""
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.dim,):
             raise ValueError(f"x must have shape ({self.dim},), got {arr.shape}")
         vals = arr.tolist()
         if not all(map(math.isfinite, vals)):
             raise ValueError("x must be finite")
-        return vals
-
-    def _location_scale(self, vals: list) -> tuple[float, float]:
-        """(L(x), noise_scale(x)) at a checked point."""
         func, centre = _BENCHMARKS[self.benchmark_id]
         try:
             loc = func(vals)
@@ -172,23 +169,23 @@ class BenchmarkLoss:
 
     def deterministic(self, x) -> float:
         """Noise-free value of the benchmark at x."""
-        return self._location_scale(self._point(x))[0]
+        return self._location_scale(x)[0]
 
     def noise_scale(self, x) -> float:
         """Noise standard deviation sqrt(1 + 100 ||x - centre||^2); always >= 1."""
-        return self._location_scale(self._point(x))[1]
+        return self._location_scale(x)[1]
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
         """m independent noisy loss draws at x."""
         m = _check_count(m, "m")
         # one pass over the draws: NumPy forms loc + scale * z per standard
         # normal z, the stream's standard_normal(m) draws
-        return rng.normal(*self._location_scale(self._point(x)), m)
+        return rng.normal(*self._location_scale(x), m)
 
     def cvar(self, x, alpha: float) -> float:
         """Exact CVaR at level alpha of the noisy loss at x: the Gaussian
         closed form L(x) + noise_scale(x) * pdf(ppf(alpha)) / (1 - alpha)."""
-        return gaussian_cvar_oracle(*self._location_scale(self._point(x)), alpha)
+        return gaussian_cvar_oracle(*self._location_scale(x), alpha)
 
 
 def l0_min_cvar_oracle(dim: int, alpha: float) -> tuple[np.ndarray, float]:

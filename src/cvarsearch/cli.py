@@ -151,8 +151,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (harness.ConfigError, FileNotFoundError) as exc:
-        # bad input: invalid config values, malformed points, missing files
+    except harness.ConfigError as exc:
+        # bad input: unreadable or invalid configs, malformed points
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -46,9 +46,10 @@ per candidate along the way; started at the target (a zero gap), it never
 moves, which is fixed-level GASS-CVaR.  It re-evaluates every iteration's
 best candidate at the target level and reports the argmin of those fresh
 values.  ``run_gass_cvar`` is the zero-gap search with a fixed
-per-candidate budget and a single re-evaluation, of the candidate with the
-best in-run estimate; the large-budget reference run uses it.
-Re-evaluation budget is accounted separately from the search budget.
+per-candidate budget and a single re-evaluation, at that same budget, of
+the candidate with the best in-run estimate; the large-budget reference
+run uses it.  Re-evaluation budget is accounted separately from the
+search budget.
 
 A run's trace, ``RunResult.records``, is one NumPy record array with a
 row per iteration, built once when the loop ends.
@@ -224,9 +225,9 @@ class GassConfig:
     shape: ShapeConfig
     step_size: PowerLawStepSize
     n_candidates: PowerGrowthSchedule
-    epsilon: float = 1e-10
-    max_iterations: int = 1000
-    grad_norm_stop: float = 1e-3
+    epsilon: float
+    max_iterations: int
+    grad_norm_stop: float
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -438,40 +439,37 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
 
 
 def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
-                  inner_budget: int, seed, *,
-                  final_eval_budget: int = 100_000) -> RunResult:
+                  inner_budget: int, seed) -> RunResult:
     """Fixed-level search with ``inner_budget`` simulations per candidate.
 
     The zero-gap schedule keeps every iteration at alpha_star.  Reports the
     candidate with the best in-run estimate across all iterations, record
-    j, re-evaluated once with ``final_eval_budget`` fresh simulations from
-    its own key (final realm, j); the other records are not re-evaluated,
-    which keeps large-budget runs such as the reference optimum at one
-    extra candidate evaluation.
+    j, re-evaluated once with ``inner_budget`` fresh simulations from its
+    own key (final realm, j); the other records are not re-evaluated, which
+    keeps large-budget runs such as the reference optimum at one extra
+    candidate evaluation.
     """
     m = _check_count(inner_budget, "inner_budget")
-    final_eval_budget = _check_count(final_eval_budget, "final_eval_budget")
     schedule = RiskSchedule.start(alpha_star, alpha_star)
     seed_seq = as_seed_sequence(seed)
     records, terminated = _run_search(config, loss, seed_seq, schedule, lambda alpha: m)
     j = int(np.argmin(records.best_cvar_estimate))
     best = records.best_candidate[j]
     final_value = _candidate_cvars(
-        loss, [best], schedule.alpha_target, final_eval_budget,
-        substream(seed_seq, _FINAL_REALM, j),
+        loss, [best], schedule.alpha_target, m, substream(seed_seq, _FINAL_REALM, j),
     )[0]
     return RunResult(
         records=records,
         final_best_candidate=best,
         final_best_cvar=float(final_value),
         terminated_by=terminated,
-        final_eval_count=final_eval_budget,
+        final_eval_count=m,
     )
 
 
 def run_gass_cvar_arl(config: GassConfig, loss: LossModel, schedule: RiskSchedule,
                       effective_size: int, seed, *,
-                      final_eval_budget: int = 100_000) -> RunResult:
+                      final_eval_budget: int) -> RunResult:
     """Search whose level follows the gradient-norm schedule, with
     ceil(effective_size / (1 - alpha_k)) simulations per candidate.
 

@@ -183,15 +183,18 @@ def _validate(c: ExperimentConfig):
 def load_config(path) -> ExperimentConfig:
     """Read a YAML mapping of flat keys into an ExperimentConfig.
 
-    Unknown keys and missing required keys raise ConfigError naming the
-    key; ExperimentConfig itself rejects wrong types and constraint
-    violations the same way.
+    A file that cannot be opened or read as UTF-8 text, or is not valid
+    YAML, raises ConfigError naming the file.  Unknown keys and missing
+    required keys raise ConfigError naming the key; ExperimentConfig itself
+    rejects wrong types and constraint violations the same way.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {path}: not valid YAML ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: cannot be read ({exc})") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path}: not valid YAML ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: expected a mapping of keys to values")
     fields = dataclasses.fields(ExperimentConfig)
@@ -399,10 +402,6 @@ def _fields_hash(config: ExperimentConfig, fields, **extra) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _reference_key(config: ExperimentConfig) -> str:
-    return _fields_hash(config, _REFERENCE_FIELDS, schema=_REFERENCE_SCHEMA)
-
-
 def _read_cache(path) -> dict:
     """Cached reference values by key.  A missing file is an empty cache; an
     unreadable or malformed one is reported and treated as empty, so every
@@ -448,7 +447,7 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     """
     if config.benchmark == "l0":
         return float(l0_min_cvar_oracle(config.dim, config.alpha_star)[1])
-    key = _reference_key(config)
+    key = _fields_hash(config, _REFERENCE_FIELDS, schema=_REFERENCE_SCHEMA)
     cache_path = None
     if cache_dir is not None:
         cache_path = os.path.join(cache_dir, "reference_cache.json")
@@ -463,10 +462,7 @@ def emit_reference_run(config: ExperimentConfig, cache_dir=None) -> float:
     gcfg, loss, seed = _search_inputs(
         config, substream(np.random.SeedSequence(int(seed_key[:16], 16)), 0),
         "reference_n_candidates", "reference_max_iterations")
-    result = run_gass_cvar(
-        gcfg, loss, config.alpha_star, config.reference_inner_budget, seed,
-        final_eval_budget=config.reference_inner_budget,
-    )
+    result = run_gass_cvar(gcfg, loss, config.alpha_star, config.reference_inner_budget, seed)
     value = float(result.final_best_cvar)
     if cache_path is not None:
         os.makedirs(cache_dir, exist_ok=True)
@@ -489,44 +485,29 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict[str, str]:
     All content is a pure function of the result, so rewriting the same
     result reproduces the files byte for byte.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    d = result.config.dim
-    paths = {}
-
-    path = os.path.join(out_dir, "iterations.csv")
-    header = "rep,k,alpha,grad_norm,best_cvar,cum_evals," + ",".join(
-        f"mean_{i}" for i in range(d)
-    )
-    lines = [header]
+    iterations = ["rep,k,alpha,grad_norm,best_cvar,cum_evals," + ",".join(
+        f"mean_{i}" for i in range(result.config.dim)
+    )]
     for outcome in result.outcomes:
         for rec in outcome.result.records:
             mean_cols = ",".join(_fmt(v) for v in rec.family_mean)
-            lines.append(
+            iterations.append(
                 f"{outcome.rep},{rec.k},{_fmt(rec.alpha)},{_fmt(rec.grad_norm)},"
                 f"{_fmt(rec.best_cvar_estimate)},{rec.cumulative_loss_evals},{mean_cols}"
             )
-    _write_file(path, lambda fh: fh.write("\n".join(lines) + "\n"))
-    paths["iterations"] = path
 
-    path = os.path.join(out_dir, "curve.csv")
-    lines = ["cum_evals,mean_ratio,q10_ratio,q90_ratio,mean_best_cvar"]
+    curve = ["cum_evals,mean_ratio,q10_ratio,q90_ratio,mean_best_cvar"]
     for i in range(result.curve_evals.size):
-        lines.append(
+        curve.append(
             f"{int(result.curve_evals[i])},{_fmt(result.curve_mean_ratio[i])},"
             f"{_fmt(result.curve_q10_ratio[i])},{_fmt(result.curve_q90_ratio[i])},"
             f"{_fmt(result.curve_mean_value[i])}"
         )
-    _write_file(path, lambda fh: fh.write("\n".join(lines) + "\n"))
-    paths["curve"] = path
 
-    path = os.path.join(out_dir, "alpha.csv")
-    lines = ["k,mean_alpha"]
+    alpha = ["k,mean_alpha"]
     for k in range(result.alpha_mean.size):
-        lines.append(f"{k},{_fmt(result.alpha_mean[k])}")
-    _write_file(path, lambda fh: fh.write("\n".join(lines) + "\n"))
-    paths["alpha"] = path
+        alpha.append(f"{k},{_fmt(result.alpha_mean[k])}")
 
-    path = os.path.join(out_dir, "summary.json")
     digests = []
     for outcome in result.outcomes:
         r = outcome.result
@@ -546,6 +527,17 @@ def emit_csv(result: ExperimentResult, out_dir) -> dict[str, str]:
         "total_search_evals": sum(d["search_evals"] for d in digests),
         "total_final_evals": sum(d["final_eval_count"] for d in digests),
     }
-    _write_file(path, lambda fh: fh.write(json.dumps(summary, sort_keys=True, indent=1) + "\n"))
-    paths["summary"] = path
+
+    texts = {
+        "iterations.csv": "\n".join(iterations),
+        "curve.csv": "\n".join(curve),
+        "alpha.csv": "\n".join(alpha),
+        "summary.json": json.dumps(summary, sort_keys=True, indent=1),
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        _write_file(path, lambda fh: fh.write(text + "\n"))
+        paths[name.split(".")[0]] = path
     return paths

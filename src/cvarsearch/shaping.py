@@ -27,8 +27,8 @@ _ZERO_TO = -710.0
 class ShapeConfig:
     """Slope s_o (> 0) and elite fraction rho in (0, 1]."""
 
-    s_o: float = 1e5
-    rho: float = 0.1
+    s_o: float
+    rho: float
 
     def __post_init__(self):
         if not (math.isfinite(self.s_o) and self.s_o > 0):

@@ -132,9 +132,19 @@ def test_run_non_finite_float_is_exit_2(tmp_path, capsys):
     assert "'step_a': must be finite" in capsys.readouterr().err
 
 
-def test_run_missing_file(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "nope.yaml")]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_run_missing_file(tmp_path, capsys, monkeypatch):
+    # a missing file, a directory and a file that is not UTF-8 are config
+    # errors, found before any output directory or simulation
+    calls = count_simulate(monkeypatch)
+    out_dir = tmp_path / "out"
+    not_utf8 = tmp_path / "latin1.yaml"
+    not_utf8.write_bytes(b"benchmark: l\xf6\n")
+    for command in ("run", "reference"):
+        for path in (tmp_path / "nope.yaml", tmp_path, not_utf8):
+            assert main([command, str(path), "--out", str(out_dir)]) == 2
+            assert f"error: config file {path}: cannot be read" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert calls == []
 
 
 def test_run_unknown_key(tmp_path, capsys):

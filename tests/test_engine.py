@@ -60,6 +60,7 @@ def small_config(dim=2, **overrides):
         shape=ShapeConfig(s_o=1e5, rho=0.1),
         step_size=PowerLawStepSize(2.0, 10.0, 0.6),
         n_candidates=PowerGrowthSchedule(50, 0.0),
+        epsilon=1e-10,
         max_iterations=20,
         grad_norm_stop=0.0,
     )
@@ -187,7 +188,7 @@ class TestMoments:
         estimates = record_estimates(monkeypatch)
         loss = RecordingLoss(2)
         config = small_config(max_iterations=1)
-        out = run_gass_cvar(config, loss, 0.9, 20, 5, final_eval_budget=10)
+        out = run_gass_cvar(config, loss, 0.9, 20, 5)
         n = config.n_candidates(0)
         scores = -np.hstack(estimates)[:n]
         weights = normalized_weights(shape(
@@ -424,14 +425,6 @@ class RecordingLoss:
 class TestBlockedEvaluation:
     LOSS = BenchmarkLoss("l0", 2)
 
-    @pytest.mark.parametrize("n,m", BLOCK_CASES)
-    @pytest.mark.parametrize("alpha", [0.0, 0.95])
-    def test_evaluate_candidates_matches_one_at_a_time(self, n, m, alpha):
-        xs = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, 2))
-        got = evaluate_candidates(self.LOSS, xs, alpha, m, 11)
-        want = _one_at_a_time(self.LOSS, xs, alpha, m, as_seed_sequence(11))
-        assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("n,m", [c for c in BLOCK_CASES if c[0] >= 2])
     @pytest.mark.parametrize("alpha", [0.0, 0.95])
     def test_search_matches_one_at_a_time(self, n, m, alpha, monkeypatch):
@@ -447,7 +440,7 @@ class TestBlockedEvaluation:
         step = engine._step
         monkeypatch.setattr(engine, "_step", recording_step)
         config = small_config(n_candidates=PowerGrowthSchedule(n, 0.0), max_iterations=1)
-        run_gass_cvar(config, self.LOSS, alpha, m, 19, final_eval_budget=10)
+        run_gass_cvar(config, self.LOSS, alpha, m, 19)
         seq = as_seed_sequence(19)
         xs = sample(config.init_params, n,
                     generator(substream(seq, engine._CANDIDATE_REALM, 0)))
@@ -462,8 +455,7 @@ class TestBlockedEvaluation:
         config = small_config(n_candidates=PowerGrowthSchedule(n, 0.0), max_iterations=2)
         tracemalloc.start()
         try:
-            run_gass_cvar(config, self.LOSS, 0.99, m, 3,
-                          final_eval_budget=m)
+            run_gass_cvar(config, self.LOSS, 0.99, m, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -496,13 +488,11 @@ class ShortAtLoss:
 # three whole chunks and a partial fourth at it (43 per chunk)
 CHUNK_CASES = [(197, 300), (197, 2500), (3 * engine._chunk_rows(1500) + 5, 1500)]
 
-# (n, m): four chunks and a partial one; one chunk of two candidates; one
-# candidate; one chunk of seven at 1,999 and 2,000 draws; seven chunks of
-# 32; five chunks of 43 just below and at the break-even; and the chunk
-# cases
-THREAD_CASES = BLOCK_CASES[:1] + [
+# (n, m): the block cases; one chunk of two candidates; one chunk of seven
+# at 1,999 and 2,000 draws; seven chunks of 32; five chunks of 43 just
+# below and at the break-even; and the chunk cases
+THREAD_CASES = BLOCK_CASES + [
     (2, 5000),
-    (1, 5000),
     (7, 1999),
     (7, 2000),
     (200, 2000),
@@ -682,10 +672,8 @@ class TestFixedLevelRun:
 
     def test_deterministic_given_seed(self):
         config = small_config(max_iterations=5)
-        a = run_gass_cvar(config, self.LOSS, 0.9, 20, 7,
-                          final_eval_budget=200)
-        b = run_gass_cvar(config, self.LOSS, 0.9, 20, 7,
-                          final_eval_budget=200)
+        a = run_gass_cvar(config, self.LOSS, 0.9, 20, 7)
+        b = run_gass_cvar(config, self.LOSS, 0.9, 20, 7)
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):
             assert ra.k == rb.k
@@ -696,19 +684,17 @@ class TestFixedLevelRun:
 
     def test_seed_changes_draws(self):
         config = small_config(max_iterations=3)
-        a = run_gass_cvar(config, self.LOSS, 0.9, 20, 7,
-                          final_eval_budget=200)
-        b = run_gass_cvar(config, self.LOSS, 0.9, 20, 8,
-                          final_eval_budget=200)
+        a = run_gass_cvar(config, self.LOSS, 0.9, 20, 7)
+        b = run_gass_cvar(config, self.LOSS, 0.9, 20, 8)
         assert a.records[0].best_cvar_estimate != b.records[0].best_cvar_estimate
 
     def test_budget_accounting(self):
         config = small_config(max_iterations=4, n_candidates=PowerGrowthSchedule(5, 0.0))
-        out = run_gass_cvar(config, self.LOSS, 0.9, 3, 0,
-                            final_eval_budget=50)
+        out = run_gass_cvar(config, self.LOSS, 0.9, 3, 0)
         assert [r.cumulative_loss_evals for r in out.records] == [15, 30, 45, 60]
         assert out.terminated_by == MAX_ITERATIONS
-        assert out.final_eval_count == 50
+        # the pick is re-evaluated once, at the search's own budget
+        assert out.final_eval_count == 3
         assert out.record_values is None
 
     def test_record_evaluation_budget(self):
@@ -727,36 +713,32 @@ class TestFixedLevelRun:
 
     def test_final_value_identical_either_way(self):
         # the single re-evaluation of record j is a one-candidate
-        # evaluation under its own key, (final realm, j)
+        # evaluation at the search's budget under its own key, (final realm, j)
         config = small_config(max_iterations=4)
-        lean = run_gass_cvar(config, self.LOSS, 0.9, 10, 3,
-                             final_eval_budget=400)
+        lean = run_gass_cvar(config, self.LOSS, 0.9, 10, 3)
         j = int(np.argmin([r.best_cvar_estimate for r in lean.records]))
         alone = evaluate_candidates(
-            self.LOSS, [lean.records[j].best_candidate], 0.9, 400,
+            self.LOSS, [lean.records[j].best_candidate], 0.9, 10,
             substream(as_seed_sequence(3), engine._FINAL_REALM, j),
         )
         assert lean.final_best_cvar == alone[0]
 
     def test_grad_threshold_stop(self):
         config = small_config(max_iterations=50, grad_norm_stop=1e9)
-        out = run_gass_cvar(config, self.LOSS, 0.9, 5, 0,
-                            final_eval_budget=20)
+        out = run_gass_cvar(config, self.LOSS, 0.9, 5, 0)
         assert len(out.records) == 1
         assert out.terminated_by == GRAD_THRESHOLD
 
     def test_first_snapshot_is_initial_family(self):
         config = small_config(max_iterations=1)
-        out = run_gass_cvar(config, self.LOSS, 0.9, 5, 0,
-                            final_eval_budget=20)
+        out = run_gass_cvar(config, self.LOSS, 0.9, 5, 0)
         np.testing.assert_array_equal(out.records.family_mean[0], config.init_params.mean)
         np.testing.assert_array_equal(out.records.family_variance[0],
                                       config.init_params.variance)
 
     def test_alpha_zero_runs(self):
         config = small_config(max_iterations=3)
-        out = run_gass_cvar(config, self.LOSS, 0.0, 10, 5,
-                            final_eval_budget=100)
+        out = run_gass_cvar(config, self.LOSS, 0.0, 10, 5)
         assert all(r.alpha == 0.0 for r in out.records)
 
     def test_alpha_star_domain(self):
@@ -772,8 +754,7 @@ class TestFixedLevelRun:
 
     def test_converges_on_noiseless_quadratic(self):
         config = small_config(max_iterations=150)
-        out = run_gass_cvar(config, NoiselessLoss(), 0.9, 2, 11,
-                            final_eval_budget=2)
+        out = run_gass_cvar(config, NoiselessLoss(), 0.9, 2, 11)
         assert out.final_best_cvar <= 0.1
 
 
@@ -812,12 +793,10 @@ class TestIntegerCounts:
         "effective_size": lambda loss: inner_sample_size(0.5, 30.9),
         "evaluate_budget": lambda loss: evaluate_candidates(loss, [np.zeros(2)], 0.9, 2.5, 0),
         "inner_budget": lambda loss: run_gass_cvar(small_config(), loss, 0.9, 5.5, 0),
-        "fixed_final_eval_budget": lambda loss: run_gass_cvar(
-            small_config(), loss, 0.9, 5, 0, final_eval_budget=10.5),
         "arl_final_eval_budget": lambda loss: run_gass_cvar_arl(
             small_config(), loss, RiskSchedule.start(0.0, 0.9), 5, 0, final_eval_budget=10.5),
         "arl_seed": lambda loss: run_gass_cvar_arl(
-            small_config(), loss, RiskSchedule.start(0.0, 0.9), 5, 2.7),
+            small_config(), loss, RiskSchedule.start(0.0, 0.9), 5, 2.7, final_eval_budget=10),
         "evaluate_seed": lambda loss: evaluate_candidates(loss, [np.zeros(2)], 0.9, 10, 2.7),
     }
 
@@ -873,13 +852,14 @@ class TestRampedRun:
         # starting at the target makes the schedule inert; with matching
         # per-candidate budgets both entry points replay identical draws,
         # and the fixed run reports the record with the best in-run
-        # estimate, j, re-evaluated under its own key (final realm, j)
+        # estimate, j, re-evaluated at its budget m under its own key
+        # (final realm, j)
         eff = 12
+        m = inner_sample_size(0.9, eff)
         config = small_config(max_iterations=6)
         ramp = run_gass_cvar_arl(config, self.LOSS, RiskSchedule.start(0.9, 0.9),
                                  eff, 21, final_eval_budget=100)
-        fixed = run_gass_cvar(config, self.LOSS, 0.9, inner_sample_size(0.9, eff), 21,
-                              final_eval_budget=100)
+        fixed = run_gass_cvar(config, self.LOSS, 0.9, m, 21)
         assert len(ramp.records) == len(fixed.records)
         for ra, rb in zip(ramp.records, fixed.records):
             assert ra.alpha == rb.alpha == 0.9
@@ -889,14 +869,14 @@ class TestRampedRun:
             np.testing.assert_array_equal(ra.best_candidate, rb.best_candidate)
         j = int(np.argmin([r.best_cvar_estimate for r in fixed.records]))
         alone = evaluate_candidates(
-            self.LOSS, [ramp.records[j].best_candidate], 0.9, 100,
+            self.LOSS, [ramp.records[j].best_candidate], 0.9, m,
             substream(as_seed_sequence(21), engine._FINAL_REALM, j),
         )
         assert fixed.final_best_cvar == alone[0]
         np.testing.assert_array_equal(fixed.final_best_candidate,
                                       ramp.records[j].best_candidate)
         assert fixed.record_values is None
-        assert fixed.final_eval_count == 100
+        assert fixed.final_eval_count == m
 
     def test_deterministic_given_seed(self):
         config = small_config(max_iterations=5)

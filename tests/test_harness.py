@@ -593,11 +593,13 @@ class TestReference:
         config = self.search_config()
         want = emit_reference_run(config)
         old_key = harness._fields_hash(config, harness._REFERENCE_FIELDS, schema=6)
-        assert old_key != harness._reference_key(config)
         cache_path = tmp_path / "reference_cache.json"
         cache_path.write_text(json.dumps({old_key: 123.0}))
         assert emit_reference_run(config, cache_dir=tmp_path) == want
-        assert json.loads(cache_path.read_text())[harness._reference_key(config)] == want
+        # the old entry is kept, and the run's value stored under a new key
+        cache = json.loads(cache_path.read_text())
+        assert cache.pop(old_key) == 123.0
+        assert list(cache.values()) == [want]
 
 
 class TestEmission:

@@ -65,9 +65,9 @@ class TestShape:
     def test_overflowing_slope_saturates(self):
         # s_o * (score - gamma) overflows to +-inf, which saturates without
         # a warning (the suite turns warnings into errors)
-        out = shape(np.array([1e308, -1e308]), 0.0, ShapeConfig(s_o=1e5))
+        out = shape(np.array([1e308, -1e308]), 0.0, ShapeConfig(s_o=1e5, rho=0.1))
         np.testing.assert_array_equal(out, [1.0, 0.0])
-        assert shape(1e308, -1e308, ShapeConfig()) == 1.0
+        assert shape(1e308, -1e308, ShapeConfig(s_o=1e5, rho=0.1)) == 1.0
 
     def test_monotone_in_score(self):
         cfg = ShapeConfig(s_o=2.0, rho=0.5)
