@@ -28,7 +28,7 @@ inputs already guarantee them:
   eigendecomposition with the eigenvalues floored at 0 before epsilon is
   added, so it is finite for every N_k >= 2 and has no fallback;
 - ``PowerLawStepSize`` makes the step size positive and finite, and
-  ``GassConfig`` the epsilon;
+  ``GassConfig`` the epsilon and an initial family inside its box;
 - every array shape derives from the family's parameters.
 
 N_k = ceil(N * max(k, 1)^exponent) comes from a ``PowerGrowthSchedule``
@@ -97,7 +97,6 @@ from .risk import _check_alpha, _check_count, empirical_cvar
 from .sampling import (
     ProjectionBox,
     SamplingParams,
-    _project_moments,
     _project_raw_natural,
     expected_sufficient_statistics,
     sample,
@@ -218,7 +217,8 @@ class PowerGrowthSchedule:
 
 @dataclass(frozen=True)
 class GassConfig:
-    """Everything one search run needs besides the loss and risk level."""
+    """Everything one search run needs besides the loss and risk level.
+    ``init_params`` must lie inside ``box``; only updates are clamped."""
 
     init_params: SamplingParams
     box: ProjectionBox
@@ -236,6 +236,10 @@ class GassConfig:
                            _check_count(self.max_iterations, "max_iterations"))
         if not (math.isfinite(self.grad_norm_stop) and self.grad_norm_stop >= 0):
             raise ValueError("grad_norm_stop must be finite and >= 0")
+        for v, lo, hi in ((self.init_params.mean, self.box.mean_lo, self.box.mean_hi),
+                          (self.init_params.variance, self.box.var_lo, self.box.var_hi)):
+            if not np.all((lo <= v) & (v <= hi)):
+                raise ValueError(f"init_params {v} must lie inside the box's [{lo}, {hi}]")
 
 
 def _trace_dtype(dim: int) -> np.dtype:
@@ -412,8 +416,7 @@ def _step(params: SamplingParams, xs: np.ndarray, cvars: np.ndarray, k: int,
 def _run_search(config: GassConfig, loss: LossModel, seed_seq,
                 schedule: RiskSchedule, inner_budget: Callable[[float], int]):
     """The search loop: alpha_k from the schedule, M_k = inner_budget(alpha_k)."""
-    params = SamplingParams(*_project_moments(
-        config.init_params.mean, config.init_params.variance, config.box))
+    params = config.init_params
     rows = []
     cum_evals = 0
     terminated = MAX_ITERATIONS

@@ -170,10 +170,6 @@ def _validate(c: ExperimentConfig):
     mean0 = np.full(c.dim, c.mean_init_lo)
     _gass_config(c, mean0)
     _gass_config(c, mean0, "reference_n_candidates", "reference_max_iterations")
-    if not (c.mean_box_lo <= c.mean_init_lo and c.mean_init_hi <= c.mean_box_hi):
-        _fail("mean_init_lo", "initial-mean range must lie inside the mean box")
-    if not (c.var_box_lo <= c.var_init <= c.var_box_hi):
-        _fail("var_init", "must lie inside the variance box")
     for key, least in (("replications", 1), ("master_seed", 0), ("final_eval_budget", 1),
                        ("reference_inner_budget", 1)):
         with _keys(key):
@@ -227,6 +223,10 @@ def _gass_config(c: ExperimentConfig, mean0: np.ndarray, n_key: str = "n_candida
         init = SamplingParams(mean=mean0, variance=np.full(c.dim, c.var_init))
     with _keys("mean_box_lo", "mean_box_hi", "var_box_lo", "var_box_hi"):
         box = ProjectionBox(c.mean_box_lo, c.mean_box_hi, c.var_box_lo, c.var_box_hi)
+    if not (c.mean_box_lo <= c.mean_init_lo and c.mean_init_hi <= c.mean_box_hi):
+        _fail("mean_init_lo", "initial-mean range must lie inside the mean box")
+    if not (c.var_box_lo <= c.var_init <= c.var_box_hi):
+        _fail("var_init", "must lie inside the variance box")
     with _keys("s_o", "rho"):
         shape = ShapeConfig(s_o=c.s_o, rho=c.rho)
     with _keys("step_a", "step_b", "step_gamma"):

@@ -68,8 +68,9 @@ class SamplingParams:
 
 @dataclass(frozen=True)
 class ProjectionBox:
-    """Feasible box for the moment view: every coordinate's mean is clamped
-    into [mean_lo, mean_hi] and its variance into [var_lo, var_hi].
+    """Feasible box for the moment view: every coordinate's mean lies in
+    [mean_lo, mean_hi] and its variance in [var_lo, var_hi].  A search
+    starts inside it (``GassConfig`` checks) and clamps each update into it.
 
     The variance floor keeps the family non-degenerate; 1e-6 is small
     enough that it only binds once the search has effectively converged.
@@ -127,19 +128,14 @@ def to_natural(params: SamplingParams) -> np.ndarray:
     return np.concatenate([params.mean / params.variance, -0.5 / params.variance])
 
 
-def _project_moments(mean: np.ndarray, variance: np.ndarray,
-                     box: ProjectionBox) -> tuple[np.ndarray, np.ndarray]:
-    return (np.clip(mean, box.mean_lo, box.mean_hi),
-            np.clip(variance, box.var_lo, box.var_hi))
-
-
 def _project_raw_natural(theta: np.ndarray, box: ProjectionBox) -> SamplingParams:
     """Clamp a raw natural-coordinate vector into the box, moment view out.
 
-    Additive updates can leave the family's domain (eta2 >= 0, which has no
-    finite variance).  Such coordinates are sent to the variance ceiling,
-    the closest feasible curvature, before the moment clamp.  theta holds
-    2 D entries, so it sets D; the box bounds every coordinate alike.
+    The only place the box is applied: each variance and each mean is
+    clipped once.  Additive updates can leave the family's domain (eta2 >=
+    0, which has no finite variance); such coordinates get the variance
+    ceiling, the closest feasible curvature.  theta holds 2 D entries, so
+    it sets D; the box bounds every coordinate alike.
     """
     d = theta.size // 2
     eta1, eta2 = theta[:d], theta[d:]
@@ -149,5 +145,4 @@ def _project_raw_natural(theta: np.ndarray, box: ProjectionBox) -> SamplingParam
     # eta1 * finite variance cannot produce NaN; out-of-domain coordinates
     # use the already clamped variance so the product stays finite.
     mean = eta1 * np.where(np.isfinite(variance), variance, var_c)
-    mean_c, var_c = _project_moments(mean, var_c, box)
-    return SamplingParams(mean=mean_c, variance=var_c)
+    return SamplingParams(mean=np.clip(mean, box.mean_lo, box.mean_hi), variance=var_c)

@@ -38,8 +38,8 @@ class RiskSchedule:
     alpha_current: float
     alpha_target: float
     prev_grad_norm: float | None = None
-    # gap to the target; derived at construction, then carried through
-    # updates so the contraction ratio stays exact
+    # gap to the target: derived by start, carried by updates so the contraction
+    # ratio stays exact; a gap passed in must agree with alpha_current either way
     gap: float | None = None
 
     def __post_init__(self):
@@ -54,8 +54,9 @@ class RiskSchedule:
             raise ValueError("prev_grad_norm must be a finite value >= 0")
         if self.gap is None:
             object.__setattr__(self, "gap", self.alpha_target - self.alpha_current)
-        if not (0.0 <= self.gap <= self.alpha_target):
-            raise ValueError("gap must lie in [0, alpha_target]")
+        elif not (self.gap >= 0.0 and (self.alpha_current == self.alpha_target - self.gap
+                                       or self.gap == self.alpha_target - self.alpha_current)):
+            raise ValueError("gap must be >= 0 and equal alpha_target - alpha_current")
 
     @classmethod
     def start(cls, alpha_init: float, alpha_target: float) -> "RiskSchedule":

@@ -378,7 +378,7 @@ class TestLossEntry:
 
 # (n, m): four whole chunks and a partial fifth; one-row chunks (m above
 # 2**16); one candidate
-BLOCK_CASES = [
+EDGE_CASES = [
     (4 * engine._chunk_rows(5000) + 3, 5000),
     (3, 2**17 + 1),
     (1, 5000),
@@ -422,10 +422,10 @@ class RecordingLoss:
         return self.inner.simulate(x, m, rng)
 
 
-class TestBlockedEvaluation:
+class TestChunkedSearch:
     LOSS = BenchmarkLoss("l0", 2)
 
-    @pytest.mark.parametrize("n,m", [c for c in BLOCK_CASES if c[0] >= 2])
+    @pytest.mark.parametrize("n,m", [c for c in EDGE_CASES if c[0] >= 2])
     @pytest.mark.parametrize("alpha", [0.0, 0.95])
     def test_search_matches_one_at_a_time(self, n, m, alpha, monkeypatch):
         # threads evaluate candidates out of order, so the estimates are
@@ -488,10 +488,10 @@ class ShortAtLoss:
 # three whole chunks and a partial fourth at it (43 per chunk)
 CHUNK_CASES = [(197, 300), (197, 2500), (3 * engine._chunk_rows(1500) + 5, 1500)]
 
-# (n, m): the block cases; one chunk of two candidates; one chunk of seven
+# (n, m): the edge cases; one chunk of two candidates; one chunk of seven
 # at 1,999 and 2,000 draws; seven chunks of 32; five chunks of 43 just
 # below and at the break-even; and the chunk cases
-THREAD_CASES = BLOCK_CASES + [
+THREAD_CASES = EDGE_CASES + [
     (2, 5000),
     (7, 1999),
     (7, 2000),
@@ -896,3 +896,14 @@ class TestConfigValidation:
     def test_max_iterations_floor(self):
         with pytest.raises(ValueError):
             small_config(max_iterations=0)
+
+    # the box is (-10, 10, 1e-4, 10); one value one ulp outside each bound
+    @pytest.mark.parametrize("field,bound,away", [
+        ("mean", -10.0, -np.inf), ("mean", 10.0, np.inf),
+        ("variance", 1e-4, 0.0), ("variance", 10.0, np.inf),
+    ])
+    def test_initial_family_outside_box(self, field, bound, away):
+        moments = dict(mean=np.full(2, 3.0), variance=np.full(2, 4.0))
+        moments[field] = np.array([np.nextafter(bound, away), moments[field][1]])
+        with pytest.raises(ValueError, match="init_params"):
+            small_config(init_params=SamplingParams(**moments))

@@ -107,6 +107,9 @@ def test_state_validation():
         RiskSchedule(alpha_current=0.0, alpha_target=1.0)
     with pytest.raises(ValueError):
         RiskSchedule(alpha_current=-0.1, alpha_target=0.9)
+    # a gap that agrees with neither the update's level nor start's gap
+    with pytest.raises(ValueError):
+        RiskSchedule(alpha_current=0.5, alpha_target=0.9, prev_grad_norm=1.0, gap=0.1)
 
 
 class TestInnerSampleSize:
