@@ -153,7 +153,9 @@ class BenchmarkLoss:
             raise ValueError(f"x must have shape ({self.dim},), got {arr.shape}")
         vals = arr.tolist()
         if not all(map(math.isfinite, vals)):
-            raise ValueError("x must be finite")
+            # the message of risk._check_array, whose NumPy pass costs more here
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValueError(f"x must be finite, got {bad}")
         func, centre = _BENCHMARKS[self.benchmark_id]
         try:
             loc = func(vals)

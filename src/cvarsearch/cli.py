@@ -15,7 +15,6 @@ An unusable ``--out`` is a usage error, found before any simulation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
@@ -102,17 +101,8 @@ def _make_out_dir(path):
         raise harness.ConfigError(f"--out {path!r}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _usage_errors():
-    """Report a ValueError raised on command-line values as a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise harness.ConfigError(str(exc)) from exc
-
-
 def _cmd_benchmark(args) -> int:
-    with _usage_errors():
+    with harness._keys():
         loss = BenchmarkLoss(args.id, len(args.x))
         lines = [f"deterministic_loss={loss.deterministic(args.x)!r}",
                  f"noise_scale={loss.noise_scale(args.x)!r}"]
@@ -123,7 +113,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    with _usage_errors():
+    with harness._keys():
         point, value = l0_min_cvar_oracle(args.dim, args.alpha)
     print(f"argmin={' '.join(repr(float(v)) for v in point)}")
     print(f"value={value!r}")

@@ -33,10 +33,26 @@ inputs already guarantee them:
 
 N_k = ceil(N * max(k, 1)^exponent) comes from a ``PowerGrowthSchedule``
 (exponent 0 keeps it constant) and the step size from a
-``PowerLawStepSize``.  Both check their parameters when built, and the
-run functions check their budgets on entry, so every error about these
-inputs is raised before the first simulation; the loop itself checks
-nothing.
+``PowerLawStepSize``.  Both check their parameters when built, the run
+functions check their budgets on entry, and ``inner_sample_size`` checks
+the effective size in iteration 0 before its first draw, so every error
+about these inputs is raised before the first simulation.
+
+Every iteration still calls functions that check their own inputs:
+``sample``, ``inner_sample_size``, ``update_risk_level``,
+``sufficient_statistics``, ``sample_quantile_threshold``, ``shape``,
+``empirical_cvar`` and, through ``SamplingParams``,
+``_project_raw_natural``.  Of these, only the loss's output can make one
+fail mid-run: ``empirical_cvar`` refuses a chunk that holds a non-finite
+draw (as ``_candidate_cvars`` refuses a ``simulate`` result of the wrong
+shape), and ``sample_quantile_threshold`` refuses an estimate that
+overflowed to inf, as the alpha = 0 mean of draws near the float maximum
+can.  The others get values that checked objects guarantee: N_k >= 2,
+alpha_k in [0, target], a finite threshold, and candidates, statistics,
+gradient and update that are finite while the squares of the box's
+bounds are.  A box bound beyond about 1e154 breaks that: the statistics
+overflow, and the Newton solve fails with NumPy's ``LinAlgError`` before
+any of these checks sees the value.
 
 alpha_k always comes from a ``RiskSchedule``, and the per-candidate
 budget M_k is a function of alpha_k.  ``run_gass_cvar_arl`` runs both
@@ -93,7 +109,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .risk import _check_alpha, _check_count, empirical_cvar
+from .risk import _check_alpha, _check_count, _check_number, empirical_cvar
 from .sampling import (
     ProjectionBox,
     SamplingParams,
@@ -184,10 +200,8 @@ class PowerLawStepSize:
     gamma: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.a, self.b)):
-            raise ValueError(
-                f"step-size a and b must be positive and finite, got {self.a} and {self.b}"
-            )
+        _check_number(self.a, "step-size a", 0, strict=True)
+        _check_number(self.b, "step-size b", 0, strict=True)
         if not (0.5 < self.gamma <= 1.0):
             raise ValueError(f"step-size gamma must lie in (0.5, 1], got {self.gamma}")
 
@@ -208,8 +222,7 @@ class PowerGrowthSchedule:
 
     def __post_init__(self):
         _check_count(self.base, "candidate count base", 2)
-        if not (math.isfinite(self.exponent) and self.exponent >= 0):
-            raise ValueError(f"growth exponent must be finite and >= 0, got {self.exponent}")
+        _check_number(self.exponent, "growth exponent", 0)
 
     def __call__(self, k: int) -> int:
         return math.ceil(self.base * max(k, 1) ** self.exponent)
@@ -230,12 +243,10 @@ class GassConfig:
     grad_norm_stop: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _check_number(self.epsilon, "epsilon", 0, strict=True)
         object.__setattr__(self, "max_iterations",
                            _check_count(self.max_iterations, "max_iterations"))
-        if not (math.isfinite(self.grad_norm_stop) and self.grad_norm_stop >= 0):
-            raise ValueError("grad_norm_stop must be finite and >= 0")
+        _check_number(self.grad_norm_stop, "grad_norm_stop", 0)
         for v, lo, hi in ((self.init_params.mean, self.box.mean_lo, self.box.mean_hi),
                           (self.init_params.variance, self.box.var_lo, self.box.var_hi)):
             if not np.all((lo <= v) & (v <= hi)):

@@ -33,7 +33,6 @@ import logging
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +122,13 @@ def _fail(key: str, detail: str):
 
 @contextlib.contextmanager
 def _keys(*keys):
-    """Report a ValueError raised by an engine object as a ConfigError naming
-    the config keys the object was built from."""
+    """Report a ValueError as a ConfigError naming the config keys, if any,
+    the failing object was built from."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"config key {', '.join(map(repr, keys))}: {exc}") from exc
+        named = f"config key {', '.join(map(repr, keys))}: " if keys else ""
+        raise ConfigError(f"{named}{exc}") from exc
 
 
 # field annotation -> accepted types and their name in an error
@@ -359,6 +359,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     if workers == 1:
         outcomes = [run_replication(config, rep) for rep in reps]
     else:
+        # imported here, so that a serial run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
                                  initargs=(max(1, _cpu_count() // workers),)) as pool:
             futures = [pool.submit(run_replication, config, rep) for rep in reps]

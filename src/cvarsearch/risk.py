@@ -82,15 +82,6 @@ def _ndtri(p: float) -> float:
     return x if upper else -x
 
 
-def _check_losses(losses) -> np.ndarray:
-    arr = np.asarray(losses, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
-        raise ValueError(f"losses must have shape (M,) or (n, M), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("losses must be finite")
-    return arr
-
-
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
     """The risk-level rule of the package: alpha as a float in [0, 1)."""
     alpha = float(alpha)
@@ -108,6 +99,36 @@ def _check_count(value, name: str, least: int = 1) -> int:
     return value
 
 
+def _check_number(value, name: str, least: float | None = None, *,
+                  strict: bool = False, most: float | None = None) -> float:
+    """The number rule of the package: value as a finite float, at or above
+    least (strictly above, when strict) and at or below most, where given.
+    A value that is not a real number, such as a string, is a TypeError."""
+    finite = math.isfinite(value)
+    value = float(value)
+    if not (finite
+            and (least is None or (value > least if strict else value >= least))
+            and (most is None or value <= most)):
+        bounds = "".join(f" and {op} {bound}" for op, bound in
+                         ((">" if strict else ">=", least), ("<=", most)) if bound is not None)
+        raise ValueError(f"{name} must be finite{bounds}, got {value}")
+    return value
+
+
+def _check_array(value, name: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """The array rule of the package: value as a float array with one of the
+    dimension counts ndims, non-empty along its last axis, and finite.  A
+    non-finite entry is reported in the number rule's form."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim not in ndims or arr.shape[-1:] == (0,):
+        dims = " or ".join(f"{d}-d" for d in ndims)
+        raise ValueError(f"{name} must be a non-empty {dims} array, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {arr[~finite][0]}")
+    return arr
+
+
 def _partition(arr: np.ndarray, alpha: float,
                overwrite_input: bool = False) -> tuple[np.ndarray, int]:
     # already checked input partitioned along the last axis about its
@@ -123,7 +144,7 @@ def _partition(arr: np.ndarray, alpha: float,
 
 def empirical_var(losses, alpha: float):
     """Empirical VaR: the max(1, ceil(alpha M))-th ascending order statistic."""
-    arr = _check_losses(losses)
+    arr = _check_array(losses, "losses", (1, 2))
     part, k = _partition(arr, _check_alpha(alpha))
     out = part[..., k]
     return float(out) if arr.ndim == 1 else out
@@ -155,7 +176,7 @@ def empirical_cvar(losses, alpha: float, *, overwrite_input: bool = False):
     array is partitioned in place, saving a copy of its size; its rows are
     then left permuted.
     """
-    arr = _check_losses(losses)
+    arr = _check_array(losses, "losses", (1, 2))
     alpha = _check_alpha(alpha)
     if alpha == 0.0:
         out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
@@ -172,10 +193,8 @@ def empirical_cvar(losses, alpha: float, *, overwrite_input: bool = False):
 def gaussian_cvar_oracle(mean: float, sd: float, alpha: float) -> float:
     """Closed-form CVaR of N(mean, sd^2): mean + sd * pdf(z) / (1 - alpha)."""
     alpha = _check_alpha(alpha)
-    sd = float(sd)
     # a finite sd keeps sd * pdf(ppf(0)) = sd * 0 at alpha = 0 from being NaN
-    if not (math.isfinite(sd) and sd >= 0):
-        raise ValueError(f"sd must be finite and >= 0, got {sd}")
+    sd = _check_number(sd, "sd", 0)
     # the standard normal pdf at its alpha-quantile, evaluated as
     # scipy.stats.norm does it
     z = _ndtri(alpha)

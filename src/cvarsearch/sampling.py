@@ -18,12 +18,11 @@ statistic space share one layout of length 2 D.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import _check_count
+from .risk import _check_array, _check_count, _check_number
 
 __all__ = [
     "SamplingParams",
@@ -35,15 +34,6 @@ __all__ = [
 ]
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class SamplingParams:
     """Moment-view parameters: per-coordinate mean and variance (> 0)."""
@@ -52,8 +42,8 @@ class SamplingParams:
     variance: np.ndarray
 
     def __post_init__(self):
-        mean = _as_vector(self.mean, "mean")
-        variance = _as_vector(self.variance, "variance")
+        mean = _check_array(self.mean, "mean")
+        variance = _check_array(self.variance, "variance")
         if variance.shape != mean.shape:
             raise ValueError("mean and variance must have the same length")
         if not np.all(variance > 0):
@@ -82,15 +72,9 @@ class ProjectionBox:
     var_hi: float
 
     def __post_init__(self):
-        for name in ("mean_lo", "mean_hi", "var_lo", "var_hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.mean_lo <= self.mean_hi:
-            raise ValueError("mean_lo must be <= mean_hi")
-        if not self.var_lo > 0:
-            raise ValueError("var_lo must be strictly positive")
-        if not self.var_lo <= self.var_hi:
-            raise ValueError("var_lo must be <= var_hi")
+        # each upper bound at or above its lower bound
+        _check_number(self.mean_hi, "mean_hi", _check_number(self.mean_lo, "mean_lo"))
+        _check_number(self.var_hi, "var_hi", _check_number(self.var_lo, "var_lo", 0, strict=True))
 
 
 def sufficient_statistics(x) -> np.ndarray:
@@ -99,11 +83,7 @@ def sufficient_statistics(x) -> np.ndarray:
     Accepts a single point of shape (D,) or a batch of shape (n, D), in
     which case rows are mapped independently to shape (n, 2 D).
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
-        raise ValueError(f"x must have shape (D,) or (n, D), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
+    arr = _check_array(x, "x", (1, 2))
     return np.concatenate([arr, arr * arr], axis=-1)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .risk import _check_alpha, _check_count
+from .risk import _check_alpha, _check_count, _check_number
 
 __all__ = ["RiskSchedule", "update_risk_level", "inner_sample_size"]
 
@@ -48,10 +48,8 @@ class RiskSchedule:
             raise ValueError(
                 f"alpha_current must lie in [0, alpha_target], got {self.alpha_current}"
             )
-        if self.prev_grad_norm is not None and not (
-            math.isfinite(self.prev_grad_norm) and self.prev_grad_norm >= 0.0
-        ):
-            raise ValueError("prev_grad_norm must be a finite value >= 0")
+        if self.prev_grad_norm is not None:
+            _check_number(self.prev_grad_norm, "prev_grad_norm", 0)
         if self.gap is None:
             object.__setattr__(self, "gap", self.alpha_target - self.alpha_current)
         elif not (self.gap >= 0.0 and (self.alpha_current == self.alpha_target - self.gap
@@ -70,9 +68,7 @@ def update_risk_level(schedule: RiskSchedule, grad_norm: float) -> RiskSchedule:
     to compare against).  A zero norm after a positive one jumps straight
     to the target.
     """
-    grad_norm = float(grad_norm)
-    if not math.isfinite(grad_norm) or grad_norm < 0.0:
-        raise ValueError(f"grad_norm must be finite and >= 0, got {grad_norm}")
+    grad_norm = _check_number(grad_norm, "grad_norm", 0)
     prev = schedule.prev_grad_norm
     if prev is not None and grad_norm < prev:
         gap = (grad_norm / prev) * schedule.gap

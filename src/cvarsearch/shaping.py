@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .risk import _check_array, _check_number
+
 __all__ = ["ShapeConfig", "sample_quantile_threshold", "shape"]
 
 # the logistic is exactly 1.0 from about t = 36.7, where exp(-t) falls to
@@ -21,6 +23,11 @@ __all__ = ["ShapeConfig", "sample_quantile_threshold", "shape"]
 # overflows; these bounds lie safely inside both
 _ONE_FROM = 40.0
 _ZERO_TO = -710.0
+
+
+def _check_rho(rho: float) -> float:
+    """The elite-fraction rule: rho as a float in (0, 1]."""
+    return _check_number(rho, "rho", 0, strict=True, most=1)
 
 
 @dataclass(frozen=True)
@@ -31,10 +38,8 @@ class ShapeConfig:
     rho: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s_o) and self.s_o > 0):
-            raise ValueError(f"s_o must be positive and finite, got {self.s_o}")
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
+        _check_number(self.s_o, "s_o", 0, strict=True)
+        _check_rho(self.rho)
 
 
 def sample_quantile_threshold(scores, rho: float) -> float:
@@ -43,20 +48,16 @@ def sample_quantile_threshold(scores, rho: float) -> float:
     rho = 1 gives the sample minimum, so every score sits at or above the
     threshold and nothing is filtered out.
     """
-    arr = np.asarray(scores, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"scores must be a non-empty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("scores must be finite")
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    arr = _check_array(scores, "scores")
+    rho = _check_rho(rho)
     n = arr.size
     j = max(1, math.ceil((1.0 - rho) * n))
     return float(np.partition(arr, j - 1)[j - 1])
 
 
 def shape(score, gamma: float, config: ShapeConfig):
-    """Logistic 1 / (1 + exp(-s_o (score - gamma))), elementwise.
+    """Logistic 1 / (1 + exp(-s_o (score - gamma))) of a score, or of each
+    entry of a non-empty 1-d array of scores.
 
     Bit for bit ``scipy.special.expit``: the same formula on the C
     library's ``exp``, which ``math.exp`` calls, with an overflowing
@@ -64,18 +65,15 @@ def shape(score, gamma: float, config: ShapeConfig):
     saturates to exactly 0 or 1, so only the others are evaluated, one by
     one.
     """
-    s = np.asarray(score, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("score must be finite")
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+    s = _check_array(score, "score", (0, 1))
+    gamma = _check_number(gamma, "gamma")
     # an overflowing t is +-inf, which saturates to exactly 1 or 0 below
     with np.errstate(over="ignore"):
         t = config.s_o * (s.reshape(-1) - gamma)
     out = np.where(t > 0.0, 1.0, 0.0)
     for i in np.flatnonzero((t > _ZERO_TO) & (t < _ONE_FROM)):
         out[i] = _logistic(float(t[i]))
-    return float(out[0]) if np.isscalar(score) or s.ndim == 0 else out.reshape(s.shape)
+    return float(out[0]) if s.ndim == 0 else out
 
 
 def _logistic(t: float) -> float:

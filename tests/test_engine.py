@@ -29,7 +29,7 @@ from cvarsearch.engine import (
     run_gass_cvar_arl,
     sample_variance_matrix,
 )
-from cvarsearch.risk import empirical_cvar
+from cvarsearch.risk import empirical_cvar, empirical_var, gaussian_cvar_oracle
 from cvarsearch.sampling import (
     ProjectionBox,
     SamplingParams,
@@ -39,7 +39,7 @@ from cvarsearch.sampling import (
     sufficient_statistics,
     to_natural,
 )
-from cvarsearch.schedule import RiskSchedule, inner_sample_size
+from cvarsearch.schedule import RiskSchedule, inner_sample_size, update_risk_level
 from cvarsearch.shaping import ShapeConfig, sample_quantile_threshold, shape
 from cvarsearch.streams import as_seed_sequence, generator, substream
 
@@ -812,6 +812,79 @@ class TestIntegerCounts:
         assert draws.shape == (3,)
         assert inner_sample_size(0.5, np.int64(30)) == 60
         assert evaluate_candidates(self.LOSS, [np.zeros(2)], 0.9, np.int64(10), 0).shape == (1,)
+
+
+class TestFiniteInputs:
+    """Every number and array the engine checks for finiteness goes through
+    one rule, whose message names the input, its bounds and a bad value."""
+
+    BOX = dict(mean_lo=-1.0, mean_hi=1.0, var_lo=1e-6, var_hi=1.0)
+    # site -> (its message up to ", got <value>", the bound it refuses when
+    # that bound is strict or None, a call that passes the value to the site)
+    CASES = {
+        "step_size_a": ("step-size a must be finite and > 0", 0.0,
+                        lambda v: PowerLawStepSize(v, 10.0, 0.6)),
+        "step_size_b": ("step-size b must be finite and > 0", 0.0,
+                        lambda v: PowerLawStepSize(2.0, v, 0.6)),
+        "growth_exponent": ("growth exponent must be finite and >= 0", None,
+                            lambda v: PowerGrowthSchedule(50, v)),
+        "epsilon": ("epsilon must be finite and > 0", 0.0,
+                    lambda v: small_config(epsilon=v)),
+        "grad_norm_stop": ("grad_norm_stop must be finite and >= 0", None,
+                           lambda v: small_config(grad_norm_stop=v)),
+        "s_o": ("s_o must be finite and > 0", 0.0, lambda v: ShapeConfig(s_o=v, rho=0.1)),
+        "shape_config_rho": ("rho must be finite and > 0 and <= 1", 0.0,
+                             lambda v: ShapeConfig(s_o=1e5, rho=v)),
+        "threshold_rho": ("rho must be finite and > 0 and <= 1", 0.0,
+                          lambda v: sample_quantile_threshold([1.0, 2.0], v)),
+        "shape_gamma": ("gamma must be finite", None,
+                        lambda v: shape(1.0, v, ShapeConfig(s_o=1e5, rho=0.1))),
+        "prev_grad_norm": ("prev_grad_norm must be finite and >= 0", None,
+                           lambda v: RiskSchedule(0.0, 0.9, prev_grad_norm=v)),
+        "update_grad_norm": ("grad_norm must be finite and >= 0", None,
+                             lambda v: update_risk_level(RiskSchedule.start(0.0, 0.9), v)),
+        "oracle_sd": ("sd must be finite and >= 0", None,
+                      lambda v: gaussian_cvar_oracle(0.0, v, 0.9)),
+        "box_mean_lo": ("mean_lo must be finite", None,
+                        lambda v: ProjectionBox(**{**TestFiniteInputs.BOX, "mean_lo": v})),
+        "box_mean_hi": ("mean_hi must be finite and >= -1.0", None,
+                        lambda v: ProjectionBox(**{**TestFiniteInputs.BOX, "mean_hi": v})),
+        "box_var_lo": ("var_lo must be finite and > 0", 0.0,
+                       lambda v: ProjectionBox(**{**TestFiniteInputs.BOX, "var_lo": v})),
+        "box_var_hi": ("var_hi must be finite and >= 1e-06", None,
+                       lambda v: ProjectionBox(**{**TestFiniteInputs.BOX, "var_hi": v})),
+        # arrays: the bad value is one entry among finite ones
+        "params_mean": ("mean must be finite", None,
+                        lambda v: SamplingParams(mean=[0.0, v], variance=[1.0, 1.0])),
+        "params_variance": ("variance must be finite", None,
+                            lambda v: SamplingParams(mean=[0.0, 0.0], variance=[1.0, v])),
+        "sufficient_statistics": ("x must be finite", None,
+                                  lambda v: sufficient_statistics([[0.0, 1.0], [v, 2.0]])),
+        "empirical_cvar": ("losses must be finite", None,
+                           lambda v: empirical_cvar([[0.0, 1.0], [2.0, v]], 0.5)),
+        "empirical_var": ("losses must be finite", None,
+                          lambda v: empirical_var([0.0, v, 1.0], 0.5)),
+        "threshold_scores": ("scores must be finite", None,
+                             lambda v: sample_quantile_threshold([1.0, v, 2.0], 0.5)),
+        "shape_score": ("score must be finite", None,
+                        lambda v: shape([1.0, v], 0.0, ShapeConfig(s_o=1e5, rho=0.1))),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_finite_refused(self, case, value):
+        message, _, call = self.CASES[case]
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == f"{message}, got {value}"
+
+    @pytest.mark.parametrize("case", sorted(c for c, (_, bound, _) in CASES.items()
+                                            if bound is not None))
+    def test_strict_bound_refused(self, case):
+        message, bound, call = self.CASES[case]
+        with pytest.raises(ValueError) as err:
+            call(bound)
+        assert str(err.value) == f"{message}, got {bound}"
 
 
 class TestRampedRun:

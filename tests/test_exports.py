@@ -22,8 +22,9 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-# Run in a fresh interpreter: the CLI import, both oracles, an l0 experiment
-# and a non-l0 reference search, then report which SciPy modules got loaded.
+# Run in a fresh interpreter: the CLI import, both oracles, a serial l0
+# experiment and a non-l0 reference search, then report which SciPy and
+# process-pool modules got loaded.
 _IMPORT_GRAPH_RUN = """
 import json, sys
 import numpy as np
@@ -42,7 +43,10 @@ reference = emit_reference_run(ExperimentConfig(**dict(
     tiny, benchmark="rosenbrock", dim=3, reference_n_candidates=6,
     reference_inner_budget=50, reference_max_iterations=2)), cache_dir=sys.argv[1])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"ran": [oracle, exact, len(result.outcomes), reference], "scipy": scipy}))
+pool = sorted(m for m in sys.modules
+              if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process")
+print(json.dumps({"ran": [oracle, exact, len(result.outcomes), reference], "scipy": scipy,
+                  "pool": pool}))
 """
 
 
@@ -57,3 +61,5 @@ def test_no_scipy_loaded(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert all(math.isfinite(v) for v in report["ran"])
     assert report["scipy"] == []
+    # a serial run starts no process pool, so it need not load one
+    assert report["pool"] == []

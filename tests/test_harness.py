@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -48,8 +49,9 @@ def tiny_config(**overrides):
 
 
 def inline_pools(monkeypatch) -> list:
-    """Replace the harness's process pool by one that records its arguments,
-    starts no process and runs each task inline, without the initializer."""
+    """Replace the process pool the harness imports by one that records its
+    arguments, starts no process and runs each task inline, without the
+    initializer."""
     made = []
 
     class InlinePool:
@@ -67,7 +69,7 @@ def inline_pools(monkeypatch) -> list:
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return made
 
 

@@ -44,11 +44,11 @@ class TestValidation:
             params([0.0], [np.inf])
 
     def test_box_ordering(self):
-        with pytest.raises(ValueError, match="mean_lo must be <= mean_hi"):
+        with pytest.raises(ValueError, match=r"^mean_hi must be finite and >= 1.0, got 0.0$"):
             ProjectionBox(mean_lo=1.0, mean_hi=0.0, var_lo=1e-6, var_hi=1.0)
-        with pytest.raises(ValueError, match="var_lo must be strictly positive"):
+        with pytest.raises(ValueError, match=r"^var_lo must be finite and > 0, got 0.0$"):
             ProjectionBox(mean_lo=0.0, mean_hi=1.0, var_lo=0.0, var_hi=1.0)
-        with pytest.raises(ValueError, match="var_lo must be <= var_hi"):
+        with pytest.raises(ValueError, match=r"^var_hi must be finite and >= 2.0, got 1.0$"):
             ProjectionBox(mean_lo=0.0, mean_hi=1.0, var_lo=2.0, var_hi=1.0)
 
     @pytest.mark.parametrize("name, value", [("var_hi", np.inf), ("mean_lo", np.nan)])
