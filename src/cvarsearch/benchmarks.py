@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import _check_count, gaussian_cvar_oracle
+from .risk import _check_count, _check_number, gaussian_cvar_oracle
 
 __all__ = [
     "BENCHMARK_IDS",
@@ -48,10 +48,12 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _l0(x: list) -> float:
+def _l0(x: list, centre: float = 0.0) -> float:
+    # squared distance to (centre, ..., centre); v - 0.0 is v exactly
     total = 0.0
     for v in x:
-        total += v * v
+        d = v - centre
+        total += d * d
     return total
 
 
@@ -152,10 +154,8 @@ class BenchmarkLoss:
         if arr.shape != (self.dim,):
             raise ValueError(f"x must have shape ({self.dim},), got {arr.shape}")
         vals = arr.tolist()
-        if not all(map(math.isfinite, vals)):
-            # the message of risk._check_array, whose NumPy pass costs more here
-            bad = next(v for v in vals if not math.isfinite(v))
-            raise ValueError(f"x must be finite, got {bad}")
+        if not all(map(math.isfinite, vals)):  # cheaper than the rule per value
+            _check_number(next(v for v in vals if not math.isfinite(v)), "x")
         func, centre = _BENCHMARKS[self.benchmark_id]
         try:
             loc = func(vals)
@@ -163,11 +163,7 @@ class BenchmarkLoss:
             # a sine or cosine of an argument that overflowed to inf, where
             # NumPy's gives nan
             loc = math.nan
-        total = 0.0
-        for v in vals:
-            d = v - centre
-            total += d * d
-        return loc, math.sqrt(1.0 + 100.0 * total)
+        return loc, math.sqrt(1.0 + 100.0 * _l0(vals, centre))
 
     def deterministic(self, x) -> float:
         """Noise-free value of the benchmark at x."""

@@ -49,10 +49,9 @@ shape), and ``sample_quantile_threshold`` refuses an estimate that
 overflowed to inf, as the alpha = 0 mean of draws near the float maximum
 can.  The others get values that checked objects guarantee: N_k >= 2,
 alpha_k in [0, target], a finite threshold, and candidates, statistics,
-gradient and update that are finite while the squares of the box's
-bounds are.  A box bound beyond about 1e154 breaks that: the statistics
-overflow, and the Newton solve fails with NumPy's ``LinAlgError`` before
-any of these checks sees the value.
+gradient and update that are finite while a candidate's fourth power
+is, which the variance matrix and gradient norm of (x, x^2) take;
+``ProjectionBox`` refuses a box that lets |x| reach beyond 1e75.
 
 alpha_k always comes from a ``RiskSchedule``, and the per-candidate
 budget M_k is a function of alpha_k.  ``run_gass_cvar_arl`` runs both
@@ -202,8 +201,7 @@ class PowerLawStepSize:
     def __post_init__(self):
         _check_number(self.a, "step-size a", 0, strict=True)
         _check_number(self.b, "step-size b", 0, strict=True)
-        if not (0.5 < self.gamma <= 1.0):
-            raise ValueError(f"step-size gamma must lie in (0.5, 1], got {self.gamma}")
+        _check_number(self.gamma, "step-size gamma", 0.5, strict=True, most=1)
 
     def __call__(self, k: int) -> float:
         return self.a / (k + self.b) ** self.gamma

@@ -49,7 +49,7 @@ from .engine import (
     run_gass_cvar,
     run_gass_cvar_arl,
 )
-from .risk import _check_count
+from .risk import _check_count, _check_number
 from .sampling import ProjectionBox, SamplingParams
 from .schedule import RiskSchedule, inner_sample_size
 from .shaping import ShapeConfig
@@ -145,13 +145,8 @@ def _validate(c: ExperimentConfig):
         if isinstance(value, bool) or not isinstance(value, types):
             _fail(f.name, f"expected {expected} (got {value!r})")
         if f.type == "float":
-            try:
-                value = float(value)
-            except OverflowError:  # an int beyond the float range
-                value = math.inf
-            object.__setattr__(c, f.name, value)
-            if not math.isfinite(value):
-                _fail(f.name, "must be finite")
+            with _keys(f.name):
+                object.__setattr__(c, f.name, _check_number(value, f.name))
     try:
         BenchmarkLoss(c.benchmark, c.dim)
     except ValueError as exc:
@@ -165,8 +160,6 @@ def _validate(c: ExperimentConfig):
               "curves would divide by a zero reference")
     with _keys("alpha_star", "effective_size"):
         inner_sample_size(c.alpha_star, c.effective_size)
-    if c.mean_init_lo > c.mean_init_hi:
-        _fail("mean_init_lo", "must be <= mean_init_hi")
     mean0 = np.full(c.dim, c.mean_init_lo)
     _gass_config(c, mean0)
     _gass_config(c, mean0, "reference_n_candidates", "reference_max_iterations")
@@ -223,8 +216,8 @@ def _gass_config(c: ExperimentConfig, mean0: np.ndarray, n_key: str = "n_candida
         init = SamplingParams(mean=mean0, variance=np.full(c.dim, c.var_init))
     with _keys("mean_box_lo", "mean_box_hi", "var_box_lo", "var_box_hi"):
         box = ProjectionBox(c.mean_box_lo, c.mean_box_hi, c.var_box_lo, c.var_box_hi)
-    if not (c.mean_box_lo <= c.mean_init_lo and c.mean_init_hi <= c.mean_box_hi):
-        _fail("mean_init_lo", "initial-mean range must lie inside the mean box")
+    if not (c.mean_box_lo <= c.mean_init_lo <= c.mean_init_hi <= c.mean_box_hi):
+        _fail("mean_init_lo", "initial-mean range must be ordered and inside the mean box")
     if not (c.var_box_lo <= c.var_init <= c.var_box_hi):
         _fail("var_init", "must lie inside the variance box")
     with _keys("s_o", "rho"):
@@ -350,9 +343,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     workers = _check_count(workers, "workers")
     if reference_value is None:
         reference_value = emit_reference_run(config)
-    reference_value = float(reference_value)
-    if not (math.isfinite(reference_value) and reference_value != 0.0):
-        raise ValueError(f"reference_value must be finite and nonzero, got {reference_value}")
+    reference_value = _check_number(reference_value, "reference_value")
+    if reference_value == 0.0:
+        raise ValueError(f"reference_value must be nonzero, got {reference_value}")
     reps = range(config.replications)
     # a fork-started pool launches all its workers at the first submit
     workers = min(workers, config.replications)

@@ -82,9 +82,18 @@ def _ndtri(p: float) -> float:
     return x if upper else -x
 
 
+def _real(value) -> float:
+    """value as a float, an int beyond the float range as +-inf."""
+    try:
+        math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+    return float(value)
+
+
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
     """The risk-level rule of the package: alpha as a float in [0, 1)."""
-    alpha = float(alpha)
+    alpha = _real(alpha)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"{name} must lie in [0, 1), got {alpha}")
     return alpha
@@ -103,10 +112,10 @@ def _check_number(value, name: str, least: float | None = None, *,
                   strict: bool = False, most: float | None = None) -> float:
     """The number rule of the package: value as a finite float, at or above
     least (strictly above, when strict) and at or below most, where given.
-    A value that is not a real number, such as a string, is a TypeError."""
-    finite = math.isfinite(value)
-    value = float(value)
-    if not (finite
+    An int beyond the float range is not finite; a value that is not a real
+    number, such as a string, is a TypeError."""
+    value = _real(value)
+    if not (math.isfinite(value)
             and (least is None or (value > least if strict else value >= least))
             and (most is None or value <= most)):
         bounds = "".join(f" and {op} {bound}" for op, bound in
@@ -119,7 +128,10 @@ def _check_array(value, name: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
     """The array rule of the package: value as a float array with one of the
     dimension counts ndims, non-empty along its last axis, and finite.  A
     non-finite entry is reported in the number rule's form."""
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an int beyond the float range among the entries
+        arr = np.vectorize(_real, otypes=[float])(np.asarray(value, dtype=object))
     if arr.ndim not in ndims or arr.shape[-1:] == (0,):
         dims = " or ".join(f"{d}-d" for d in ndims)
         raise ValueError(f"{name} must be a non-empty {dims} array, got shape {arr.shape}")
@@ -180,13 +192,12 @@ def empirical_cvar(losses, alpha: float, *, overwrite_input: bool = False):
     alpha = _check_alpha(alpha)
     if alpha == 0.0:
         out = np.maximum(arr.mean(axis=-1), arr.min(axis=-1))
-        return float(out) if arr.ndim == 1 else out
-    m = arr.shape[-1]
-    part, k = _partition(arr, alpha, overwrite_input)
-    tail = np.sort(part[..., k:], axis=-1)
-    v = tail[..., :1]
-    excess = np.subtract(tail[..., 1:], v).sum(axis=-1)
-    out = np.minimum(v[..., 0] + excess / (m * (1.0 - alpha)), tail[..., -1])
+    else:
+        part, k = _partition(arr, alpha, overwrite_input)
+        tail = np.sort(part[..., k:], axis=-1)
+        v = tail[..., :1]
+        excess = np.subtract(tail[..., 1:], v).sum(axis=-1)
+        out = np.minimum(v[..., 0] + excess / (arr.shape[-1] * (1.0 - alpha)), tail[..., -1])
     return float(out) if arr.ndim == 1 else out
 
 

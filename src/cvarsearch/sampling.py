@@ -64,6 +64,10 @@ class ProjectionBox:
 
     The variance floor keeps the family non-degenerate; 1e-6 is small
     enough that it only binds once the search has effectively converged.
+
+    Its reach max(|mean_lo|, |mean_hi|) + 10 sqrt(var_hi) bounds the |x| of
+    its candidates and must be at most 1e75, so that x^4, which the variance
+    matrix and gradient norm of (x, x^2) take, stays below 1e300.
     """
 
     mean_lo: float
@@ -75,6 +79,8 @@ class ProjectionBox:
         # each upper bound at or above its lower bound
         _check_number(self.mean_hi, "mean_hi", _check_number(self.mean_lo, "mean_lo"))
         _check_number(self.var_hi, "var_hi", _check_number(self.var_lo, "var_lo", 0, strict=True))
+        reach = max(abs(self.mean_lo), abs(self.mean_hi)) + 10.0 * self.var_hi ** 0.5
+        _check_number(reach, "box reach max(|mean_lo|, |mean_hi|) + 10 sqrt(var_hi)", most=1e75)
 
 
 def sufficient_statistics(x) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .risk import _check_alpha, _check_count, _check_number
+from .risk import _check_alpha, _check_count, _check_number, _real
 
 __all__ = ["RiskSchedule", "update_risk_level", "inner_sample_size"]
 
@@ -44,10 +44,7 @@ class RiskSchedule:
 
     def __post_init__(self):
         _check_alpha(self.alpha_target, "alpha_target")
-        if not (0.0 <= self.alpha_current <= self.alpha_target):
-            raise ValueError(
-                f"alpha_current must lie in [0, alpha_target], got {self.alpha_current}"
-            )
+        _check_number(self.alpha_current, "alpha_current", 0, most=self.alpha_target)
         if self.prev_grad_norm is not None:
             _check_number(self.prev_grad_norm, "prev_grad_norm", 0)
         if self.gap is None:
@@ -58,7 +55,7 @@ class RiskSchedule:
 
     @classmethod
     def start(cls, alpha_init: float, alpha_target: float) -> "RiskSchedule":
-        return cls(alpha_current=float(alpha_init), alpha_target=float(alpha_target))
+        return cls(alpha_current=_real(alpha_init), alpha_target=_real(alpha_target))
 
 
 def update_risk_level(schedule: RiskSchedule, grad_norm: float) -> RiskSchedule:

@@ -1,8 +1,8 @@
 """Logistic score shaping for the elite-weighting step of the search.
 
 Candidate scores (negated CVaR estimates, so bigger is better) are pushed
-through a logistic centred at the sample (1 - rho)-quantile of the scores
-themselves.  With a steep slope this approximates hard top-rho selection
+through a logistic centred at their empirical (1 - rho)-VaR, the sample
+(1 - rho)-quantile.  A steep slope approximates hard top-rho selection
 while staying differentiable; the quantile recentres the weighting at every
 iteration, which keeps the method invariant to shifting all scores.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import _check_array, _check_number
+from .risk import _check_array, _check_number, _partition
 
 __all__ = ["ShapeConfig", "sample_quantile_threshold", "shape"]
 
@@ -43,21 +43,19 @@ class ShapeConfig:
 
 
 def sample_quantile_threshold(scores, rho: float) -> float:
-    """The max(1, ceil((1 - rho) N))-th ascending order statistic.
+    """The max(1, ceil((1 - rho) N))-th ascending order statistic, the
+    scores' empirical VaR at level 1 - rho.
 
     rho = 1 gives the sample minimum, so every score sits at or above the
     threshold and nothing is filtered out.
     """
-    arr = _check_array(scores, "scores")
-    rho = _check_rho(rho)
-    n = arr.size
-    j = max(1, math.ceil((1.0 - rho) * n))
-    return float(np.partition(arr, j - 1)[j - 1])
+    part, k = _partition(_check_array(scores, "scores"), 1.0 - _check_rho(rho))
+    return float(part[k])
 
 
-def shape(score, gamma: float, config: ShapeConfig):
-    """Logistic 1 / (1 + exp(-s_o (score - gamma))) of a score, or of each
-    entry of a non-empty 1-d array of scores.
+def shape(score, gamma: float, config: ShapeConfig) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-s_o (score - gamma))) of each entry of a
+    non-empty 1-d array of scores; a single score is an array of one.
 
     Bit for bit ``scipy.special.expit``: the same formula on the C
     library's ``exp``, which ``math.exp`` calls, with an overflowing
@@ -65,15 +63,15 @@ def shape(score, gamma: float, config: ShapeConfig):
     saturates to exactly 0 or 1, so only the others are evaluated, one by
     one.
     """
-    s = _check_array(score, "score", (0, 1))
+    s = _check_array(score, "score")
     gamma = _check_number(gamma, "gamma")
     # an overflowing t is +-inf, which saturates to exactly 1 or 0 below
     with np.errstate(over="ignore"):
-        t = config.s_o * (s.reshape(-1) - gamma)
+        t = config.s_o * (s - gamma)
     out = np.where(t > 0.0, 1.0, 0.0)
     for i in np.flatnonzero((t > _ZERO_TO) & (t < _ONE_FROM)):
         out[i] = _logistic(float(t[i]))
-    return float(out[0]) if s.ndim == 0 else out
+    return out
 
 
 def _logistic(t: float) -> float:

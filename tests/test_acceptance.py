@@ -94,7 +94,7 @@ def test_criterion_2_formula_fixtures():
     exact("cvar risk neutral", empirical_cvar(np.arange(1.0, 11.0), 0.0), 5.5)
     exact("cvar constant", empirical_cvar(np.full(7, 2.5), 0.9), 2.5)
     exact("quantile threshold", sample_quantile_threshold(np.arange(1.0, 11.0), 0.1), 9.0)
-    exact("shape at threshold", shape(4.2, 4.2, ShapeConfig(s_o=1e5, rho=0.1)), 0.5)
+    exact("shape at threshold", shape([4.2], 4.2, ShapeConfig(s_o=1e5, rho=0.1)), [0.5])
     exact("weight normalization", normalized_weights([1.0, 3.0]), np.array([0.25, 0.75]))
     exact(
         "variance two-point",

@@ -129,7 +129,21 @@ def test_run_l0_alpha_star_zero_is_exit_2(tmp_path, capsys):
 def test_run_non_finite_float_is_exit_2(tmp_path, capsys):
     config = write_config(tmp_path, step_a=float("inf"))
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert "'step_a': must be finite" in capsys.readouterr().err
+    assert "'step_a': step_a must be finite, got inf" in capsys.readouterr().err
+
+
+def test_run_box_beyond_reach_is_exit_2(tmp_path, capsys, monkeypatch):
+    # candidates near 1e160 would overflow their fourth powers mid-run; the
+    # box is refused before any simulation or output directory
+    calls = count_simulate(monkeypatch)
+    config = write_config(tmp_path, mean_box_lo=-1e200, mean_box_hi=1e200,
+                          mean_init_lo=1e160, mean_init_hi=1e160)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out_dir)]) == 2
+    assert ("error: config key 'mean_box_lo', 'mean_box_hi', 'var_box_lo', 'var_box_hi': "
+            "box reach") in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert calls == []
 
 
 def test_run_missing_file(tmp_path, capsys, monkeypatch):

@@ -826,6 +826,8 @@ class TestFiniteInputs:
                         lambda v: PowerLawStepSize(v, 10.0, 0.6)),
         "step_size_b": ("step-size b must be finite and > 0", 0.0,
                         lambda v: PowerLawStepSize(2.0, v, 0.6)),
+        "step_size_gamma": ("step-size gamma must be finite and > 0.5 and <= 1", 0.5,
+                            lambda v: PowerLawStepSize(2.0, 10.0, v)),
         "growth_exponent": ("growth exponent must be finite and >= 0", None,
                             lambda v: PowerGrowthSchedule(50, v)),
         "epsilon": ("epsilon must be finite and > 0", 0.0,
@@ -838,7 +840,7 @@ class TestFiniteInputs:
         "threshold_rho": ("rho must be finite and > 0 and <= 1", 0.0,
                           lambda v: sample_quantile_threshold([1.0, 2.0], v)),
         "shape_gamma": ("gamma must be finite", None,
-                        lambda v: shape(1.0, v, ShapeConfig(s_o=1e5, rho=0.1))),
+                        lambda v: shape([1.0], v, ShapeConfig(s_o=1e5, rho=0.1))),
         "prev_grad_norm": ("prev_grad_norm must be finite and >= 0", None,
                            lambda v: RiskSchedule(0.0, 0.9, prev_grad_norm=v)),
         "update_grad_norm": ("grad_norm must be finite and >= 0", None,
@@ -870,13 +872,17 @@ class TestFiniteInputs:
                         lambda v: shape([1.0, v], 0.0, ShapeConfig(s_o=1e5, rho=0.1))),
     }
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**400, id="-10**400")])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_non_finite_refused(self, case, value):
         message, _, call = self.CASES[case]
         with pytest.raises(ValueError) as err:
             call(value)
-        assert str(err.value) == f"{message}, got {value}"
+        # an int beyond the float range is refused as the infinity it rounds to
+        shown = value if isinstance(value, float) else math.inf if value > 0 else -math.inf
+        assert str(err.value) == f"{message}, got {shown}"
 
     @pytest.mark.parametrize("case", sorted(c for c, (_, bound, _) in CASES.items()
                                             if bound is not None))
@@ -885,6 +891,34 @@ class TestFiniteInputs:
         with pytest.raises(ValueError) as err:
             call(bound)
         assert str(err.value) == f"{message}, got {bound}"
+
+
+class TestBoxReach:
+    class Constant:
+        def simulate(self, x, m, rng):
+            return np.zeros(m)
+
+    def test_search_at_the_ceiling_stays_finite(self):
+        # candidates near 1e75 have fourth powers near 1e300, which the
+        # variance matrix and the gradient norm hold
+        config = small_config(
+            init_params=SamplingParams(mean=[1e75, 0.0], variance=[1000.0, 1000.0]),
+            box=ProjectionBox(-1e75, 1e75, 1e-6, 2000.0),
+            n_candidates=PowerGrowthSchedule(20, 0.0), max_iterations=5)
+        out = run_gass_cvar(config, self.Constant(), 0.9, 10, 1)
+        assert np.all(np.isfinite(out.records.grad_norm))
+        assert np.all(np.isfinite(out.final_best_candidate))
+
+    @pytest.mark.parametrize("bounds,reach", [
+        ((-1e100, 1e100, 1e-6, 2000.0), 1e100),
+        ((-1.0, 1e80, 1e-6, 2000.0), 1e80),
+        ((-1.0, 1.0, 1e-6, 1e150), 1.0 + 10.0 * math.sqrt(1e150)),
+    ])
+    def test_box_beyond_the_ceiling_refused(self, bounds, reach):
+        with pytest.raises(ValueError) as err:
+            ProjectionBox(*bounds)
+        assert str(err.value) == ("box reach max(|mean_lo|, |mean_hi|) + 10 sqrt(var_hi) "
+                                  f"must be finite and <= 1e+75, got {reach}")
 
 
 class TestRampedRun:

@@ -60,9 +60,11 @@ class TestEmpiricalVar:
         empirical_var(x, 0.5)
         np.testing.assert_array_equal(x, np.array([3.0, 1.0, 2.0]))
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, np.nan])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, np.nan,
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**400, id="-10**400")])
     def test_alpha_domain(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\), got "):
             empirical_var(np.array([1.0]), alpha)
 
     def test_empty_rejected(self):

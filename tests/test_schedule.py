@@ -148,3 +148,16 @@ def test_numpy_float_inputs_accepted():
         np.float64(0.5),
     )
     assert out.alpha_current == pytest.approx(0.745, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha_init,alpha_target,message", [
+    (0.95, 0.9, "alpha_current must be finite and >= 0 and <= 0.9, got 0.95"),
+    (10**400, 0.9, "alpha_current must be finite and >= 0 and <= 0.9, got inf"),
+    (0.0, 10**400, "alpha_target must lie in [0, 1), got inf"),
+], ids=["above_target", "int_beyond_float_current", "int_beyond_float_target"])
+def test_start_refused_in_the_rules_words(alpha_init, alpha_target, message):
+    # an int beyond the float range is refused as non-finite, never an
+    # OverflowError
+    with pytest.raises(ValueError) as err:
+        RiskSchedule.start(alpha_init, alpha_target)
+    assert str(err.value) == message

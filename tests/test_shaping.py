@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from cvarsearch.risk import empirical_var
 from cvarsearch.shaping import ShapeConfig, _logistic, sample_quantile_threshold, shape
 
 
@@ -38,6 +39,17 @@ class TestThreshold:
         j = max(1, math.ceil((1.0 - rho) * len(x)))
         assert gamma == np.sort(x)[j - 1]
 
+    @given(
+        scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                        max_size=50),
+        rho=st.floats(0.0, 1.0, exclude_min=True).filter(lambda r: 1.0 - r < 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_is_empirical_var_at_one_minus_rho(self, scores, rho):
+        x = np.asarray(scores)
+        got = sample_quantile_threshold(x, rho)
+        assert got.hex() == empirical_var(x, 1.0 - rho).hex()
+
     def test_rho_domain(self):
         with pytest.raises(ValueError):
             sample_quantile_threshold(np.array([1.0]), 0.0)
@@ -48,38 +60,42 @@ class TestThreshold:
 class TestShape:
     def test_half_at_threshold(self):
         cfg = ShapeConfig(s_o=1e5, rho=0.1)
-        assert shape(4.2, 4.2, cfg) == 0.5
+        np.testing.assert_array_equal(shape([4.2], 4.2, cfg), [0.5])
 
     def test_logistic_value(self):
         cfg = ShapeConfig(s_o=1.0, rho=0.5)
-        assert shape(np.log(3.0), 0.0, cfg) == pytest.approx(0.75, rel=1e-12)
+        (value,) = shape([np.log(3.0)], 0.0, cfg)
+        assert value == pytest.approx(0.75, rel=1e-12)
 
     def test_saturation_without_warnings(self):
         cfg = ShapeConfig(s_o=1e5, rho=0.1)
         with np.errstate(over="raise", under="ignore"):
-            hi = shape(1.0, 0.0, cfg)
-            lo = shape(-1.0, 0.0, cfg)
-        assert hi == 1.0
-        assert lo == 0.0
+            out = shape([1.0, -1.0], 0.0, cfg)
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_overflowing_slope_saturates(self):
         # s_o * (score - gamma) overflows to +-inf, which saturates without
         # a warning (the suite turns warnings into errors)
         out = shape(np.array([1e308, -1e308]), 0.0, ShapeConfig(s_o=1e5, rho=0.1))
         np.testing.assert_array_equal(out, [1.0, 0.0])
-        assert shape(1e308, -1e308, ShapeConfig(s_o=1e5, rho=0.1)) == 1.0
+        np.testing.assert_array_equal(shape([1e308], -1e308, ShapeConfig(s_o=1e5, rho=0.1)),
+                                      [1.0])
+
+    def test_one_d_only(self):
+        with pytest.raises(ValueError, match=r"^score must be a non-empty 1-d array, got shape \(\)$"):
+            shape(1.0, 0.0, ShapeConfig(s_o=1e5, rho=0.1))
 
     def test_monotone_in_score(self):
         cfg = ShapeConfig(s_o=2.0, rho=0.5)
         scores = np.linspace(-3.0, 3.0, 101)
-        vals = np.array([shape(s, 0.0, cfg) for s in scores])
+        vals = shape(scores, 0.0, cfg)
         assert np.all(np.diff(vals) >= 0)
 
     def test_elite_fraction_flagged(self):
         cfg = ShapeConfig(s_o=1e5, rho=0.1)
         scores = np.random.default_rng(9).normal(size=1000)
         gamma = sample_quantile_threshold(scores, cfg.rho)
-        flagged = sum(shape(s, gamma, cfg) >= 0.5 for s in scores)
+        flagged = np.count_nonzero(shape(scores, gamma, cfg) >= 0.5)
         assert 99 <= flagged <= 101
 
     @given(
