@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import _check_count, _check_number, gaussian_cvar_oracle
+from .risk import _check_array, _check_count, _check_number, gaussian_cvar_oracle
 
 __all__ = [
     "BENCHMARK_IDS",
@@ -132,7 +132,8 @@ class BenchmarkLoss:
     into a list of Python floats and computes L(x) and noise_scale(x) on
     it, because a search evaluates one small point per candidate, where
     plain float arithmetic is several times cheaper than NumPy calls.
-    ``simulate`` is then one ``rng.normal(L(x), noise_scale(x), m)`` call.
+    ``simulate`` is then one ``rng.normal(L(x), noise_scale(x), m)`` call,
+    or, given standard normals z already drawn, ``z *= s; z += L`` in place.
     A value that overflows is inf, as in NumPy, never an OverflowError.
     """
 
@@ -150,7 +151,10 @@ class BenchmarkLoss:
 
     def _location_scale(self, x) -> tuple[float, float]:
         """(L(x), noise_scale(x)) at x, checked: a finite point of shape (dim,)."""
-        arr = np.asarray(x, dtype=float)
+        try:
+            arr = np.asarray(x, dtype=float)
+        except OverflowError:  # an int beyond the float range: the array rule refuses it
+            arr = _check_array(x, "x")
         if arr.shape != (self.dim,):
             raise ValueError(f"x must have shape ({self.dim},), got {arr.shape}")
         vals = arr.tolist()
@@ -173,12 +177,29 @@ class BenchmarkLoss:
         """Noise standard deviation sqrt(1 + 100 ||x - centre||^2); always >= 1."""
         return self._location_scale(x)[1]
 
-    def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m independent noisy loss draws at x."""
+    def simulate(self, x, m: int, rng: np.random.Generator,
+                 normals: np.ndarray | None = None) -> np.ndarray:
+        """m independent noisy loss draws at x.
+
+        Without ``normals`` they are drawn from rng.  With ``normals``, a
+        float64 array of shape (m,) holding m standard normals the caller
+        drew from rng, the losses are formed in it in place and it is
+        returned; rng is not used.  Both give the same bits for the same
+        standard normals, as long as NumPy forms ``loc + scale * z``
+        without a fused multiply-add, as it does on x86-64.
+        """
         m = _check_count(m, "m")
-        # one pass over the draws: NumPy forms loc + scale * z per standard
-        # normal z, the stream's standard_normal(m) draws
-        return rng.normal(*self._location_scale(x), m)
+        loc, scale = self._location_scale(x)
+        if normals is None:
+            # one pass over the draws: NumPy forms loc + scale * z per
+            # standard normal z, the stream's standard_normal(m) draws
+            return rng.normal(loc, scale, m)
+        if not (isinstance(normals, np.ndarray) and normals.dtype == np.float64
+                and normals.shape == (m,)):
+            raise ValueError(f"normals must be a float64 array of shape ({m},)")
+        normals *= scale
+        normals += loc
+        return normals
 
     def cvar(self, x, alpha: float) -> float:
         """Exact CVaR at level alpha of the noisy loss at x: the Gaussian

@@ -75,16 +75,22 @@ evaluation order or worker count.  The candidates of one evaluation share
 streams in chunks of ``_chunk_rows(m)``, which depends on the draws per
 candidate m alone: chunk c is NumPy's own
 ``generator(substream(seq, *key, c))``, and its candidates draw from it
-one after another, in index order.  A chunk holds at most 2^16 draws, or
-one candidate when a candidate takes more.  Every stream is a
-SeedSequence-seeded NumPy SFC64 generator: it draws normals faster than
-PCG64, and each has its own mixed state with a cycle of at least 2^64.
+one after another, in index order.  For a ``BenchmarkLoss`` one
+``standard_normal`` call fills the chunk instead, row after row, and each
+row becomes its candidate's losses in place: the standard normals that
+``rng.normal(L(x), noise_scale(x), m)`` per candidate would draw, scaled
+and shifted with its roundings, so every value keeps its bits.  A chunk
+holds at most 2^16 draws, or one candidate when a candidate takes more.
+Every stream is a SeedSequence-seeded NumPy SFC64 generator: it draws
+normals faster than PCG64, and each has its own mixed state with a cycle
+of at least 2^64.
 
 Memory: a chunk, the one unit of evaluation work, is simulated into its
-thread's buffer and reduced to CVaR estimates by one call, so a search or
-re-evaluation holds one chunk of loss draws per thread, at most 512 KiB
-or one candidate's draws when they are more, not the O(N_k * M_k) loss
-matrix.  The reduction partitions the chunk in place and copies only
+thread's buffer (a ``BenchmarkLoss`` forms its losses there; another
+loss's m draws per candidate are copied in) and reduced to CVaR estimates
+by one call, so a search or re-evaluation holds one chunk of loss draws
+per thread, at most 512 KiB or one candidate's draws when they are more,
+not the O(N_k * M_k) loss matrix.  The reduction partitions the chunk in place and copies only
 each row's tail from its VaR up, so its transients shrink with 1 - alpha:
 about a tenth of the chunk at 0.95.
 
@@ -108,6 +114,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from .benchmarks import BenchmarkLoss
 from .risk import _check_alpha, _check_count, _check_number, empirical_cvar
 from .sampling import (
     ProjectionBox,
@@ -181,10 +188,15 @@ class LossModel(Protocol):
     From ``_THREAD_MIN_DRAWS`` draws per candidate, ``simulate`` may run on
     several threads at once, each with its own chunks' generators, so a loss
     must not change shared state without its own lock.  It should draw its
-    m simulations in one NumPy call where it can, as
-    ``BenchmarkLoss.simulate`` does: a NumPy call releases the interpreter
-    lock only for its own pass, and several short passes per candidate
-    leave the threads of an evaluation waiting on each other for the lock.
+    m simulations in one NumPy call where it can: a NumPy call releases the
+    interpreter lock only for its own pass, and several short passes per
+    candidate leave the threads of an evaluation waiting on each other for
+    the lock.
+
+    A ``BenchmarkLoss`` is not called this way: the engine draws its whole
+    chunk's standard normals in one call and passes each candidate's row
+    as ``simulate(x, m, rng, normals=row)``, which forms the losses in the
+    row in place.
     """
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray: ...
@@ -345,8 +357,11 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     ``generator(substream(seq, *key, c))``, its rows from successive
     ``loss.simulate`` calls on that one generator, into its thread's one
     reused buffer, and is reduced by one ``empirical_cvar`` call, so each
-    estimate depends on its chunk index and row alone.  From
-    ``_THREAD_MIN_DRAWS`` draws every thread, the calling one included,
+    estimate depends on its chunk index and row alone.  A ``BenchmarkLoss``
+    chunk instead fills the buffer with one ``standard_normal`` call and
+    passes each row to ``simulate(x, m, rng, normals=row)``, which forms the
+    losses in it: the same normals in the same order, so the same bits.
+    From ``_THREAD_MIN_DRAWS`` draws every thread, the calling one included,
     takes the next unclaimed chunk from one shared range iterator, whose
     ``next`` holds the interpreter lock, until none is left.  A thread that
     fails takes every chunk still unclaimed, so the others stop after
@@ -359,6 +374,7 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     threads = min(chunks, _THREADS or _cpu_count()) if m >= _THREAD_MIN_DRAWS else 1
     out = np.empty(n)
     todo = iter(range(chunks))
+    fused = isinstance(loss, BenchmarkLoss)
 
     def fill():
         buffer = np.empty((min(chunk, n), m))
@@ -366,13 +382,19 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
             for c in todo:
                 lo, hi = c * chunk, min(c * chunk + chunk, n)
                 rng = generator(substream(seq, *key, c))
-                for row, x in zip(buffer, xs[lo:hi]):
-                    draws = loss.simulate(x, m, rng)
-                    if np.shape(draws) != (m,):
-                        raise ValueError(
-                            f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
-                    row[:] = draws
-                out[lo:hi] = empirical_cvar(buffer[:hi - lo], alpha, overwrite_input=True)
+                block = buffer[:hi - lo]
+                if fused:
+                    rng.standard_normal(out=block)
+                    for row, x in zip(block, xs[lo:hi]):
+                        loss.simulate(x, m, rng, normals=row)
+                else:
+                    for row, x in zip(block, xs[lo:hi]):
+                        draws = loss.simulate(x, m, rng)
+                        if np.shape(draws) != (m,):
+                            raise ValueError(
+                                f"loss.simulate returned shape {np.shape(draws)}, expected ({m},)")
+                        row[:] = draws
+                out[lo:hi] = empirical_cvar(block, alpha, overwrite_input=True)
         finally:
             # a thread that stops on an error leaves no chunk to claim, so
             # the others stop after their current one

@@ -204,10 +204,11 @@ def empirical_cvar(losses, alpha: float, *, overwrite_input: bool = False):
 def gaussian_cvar_oracle(mean: float, sd: float, alpha: float) -> float:
     """Closed-form CVaR of N(mean, sd^2): mean + sd * pdf(z) / (1 - alpha)."""
     alpha = _check_alpha(alpha)
+    mean = _check_number(mean, "mean")
     # a finite sd keeps sd * pdf(ppf(0)) = sd * 0 at alpha = 0 from being NaN
     sd = _check_number(sd, "sd", 0)
     # the standard normal pdf at its alpha-quantile, evaluated as
     # scipy.stats.norm does it
     z = _ndtri(alpha)
     pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
-    return float(mean) + sd * float(pdf) / (1.0 - alpha)
+    return mean + sd * float(pdf) / (1.0 - alpha)

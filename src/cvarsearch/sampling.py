@@ -67,7 +67,11 @@ class ProjectionBox:
 
     Its reach max(|mean_lo|, |mean_hi|) + 10 sqrt(var_hi) bounds the |x| of
     its candidates and must be at most 1e75, so that x^4, which the variance
-    matrix and gradient norm of (x, x^2) take, stays below 1e300.
+    matrix and gradient norm of (x, x^2) take, stays below 1e300.  Its ratio
+    max(|mean_lo|, |mean_hi|, 1) / var_lo bounds the natural coordinates
+    |mean / variance| and 1 / variance of every family in it, and must be at
+    most 1e150, so that they, and their products with a variance of at most
+    1e150, as the reach allows, stay below 1e300.
     """
 
     mean_lo: float
@@ -81,6 +85,8 @@ class ProjectionBox:
         _check_number(self.var_hi, "var_hi", _check_number(self.var_lo, "var_lo", 0, strict=True))
         reach = max(abs(self.mean_lo), abs(self.mean_hi)) + 10.0 * self.var_hi ** 0.5
         _check_number(reach, "box reach max(|mean_lo|, |mean_hi|) + 10 sqrt(var_hi)", most=1e75)
+        ratio = max(abs(self.mean_lo), abs(self.mean_hi), 1.0) / self.var_lo
+        _check_number(ratio, "box ratio max(|mean_lo|, |mean_hi|, 1) / var_lo", most=1e150)
 
 
 def sufficient_statistics(x) -> np.ndarray:

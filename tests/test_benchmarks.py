@@ -8,6 +8,7 @@ transcription slip on either side shows up as a mismatch.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,12 @@ def test_overflow_is_infinite(benchmark_id):
         assert loss.noise_scale(x) == math.inf
 
 
+def test_exact_cvar_of_an_overflowed_loss_is_refused():
+    # a finite point whose L(x) overflows has no finite CVaR
+    with pytest.raises(ValueError, match=r"^mean must be finite, got inf$"):
+        BenchmarkLoss("rosenbrock", 2).cvar([1e100, 1e100], 0.9)
+
+
 def test_cosine_of_overflowed_argument_is_nan():
     # 2 pi x overflows to inf at x = 1e308, whose cosine is nan, as in NumPy
     loss = BenchmarkLoss("rastrigin", 1)
@@ -242,6 +249,38 @@ class TestNoise:
         BenchmarkLoss(benchmark_id, dim).simulate(np.linspace(-1.0, 1.5, dim), m, rng)
         want.standard_normal(m)
         assert rng.bit_generator.state == want.bit_generator.state
+
+
+class TestGivenNormals:
+    """``simulate(x, m, rng, normals=z)`` forms the losses in z in place;
+    its bits equal ``rng.normal``'s while NumPy forms loc + scale * z
+    without a fused multiply-add (see ``TestChunkedNormals`` in the engine
+    tests)."""
+
+    @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+    @pytest.mark.parametrize("m", [1, 600])
+    def test_matches_rng_normal_on_a_twin_stream(self, benchmark_id, m):
+        dim = MIN_DIM.get(benchmark_id, 3)
+        loss = BenchmarkLoss(benchmark_id, dim)
+        for x in np.random.default_rng(4).uniform(-3.0, 3.0, size=(5, dim)):
+            rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+            z = twin.standard_normal(m)
+            got = loss.simulate(x, m, twin, normals=z)
+            assert got is z
+            want = rng.normal(loss.deterministic(x), loss.noise_scale(x), m)
+            assert got.tobytes() == want.tobytes()
+            # the given normals take nothing more from the stream
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros(5), np.zeros(3), np.zeros((1, 4)), np.zeros(4, dtype=np.float32),
+        np.zeros(4, dtype=np.int64), [0.0] * 4, 0.0,
+    ], ids=["long", "short", "2-d", "float32", "int64", "list", "scalar"])
+    def test_other_normals_refused(self, bad):
+        loss = BenchmarkLoss("l0", 2)
+        with pytest.raises(ValueError, match=re.escape("normals must be a float64 array "
+                                                       "of shape (4,)")):
+            loss.simulate([0.5, 0.5], 4, np.random.default_rng(0), normals=bad)
 
 
 class TestLossHandle:

@@ -146,6 +146,22 @@ def test_run_box_beyond_reach_is_exit_2(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_run_box_beyond_ratio_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a mean of 1e10 over a variance of 1e-300 would overflow the natural
+    # coordinates mid-run; the box is refused before any simulation or
+    # output directory
+    calls = count_simulate(monkeypatch)
+    config = write_config(tmp_path, mean_box_lo=-1e10, mean_box_hi=1e10, var_box_lo=1e-300,
+                          mean_init_lo=1e10, mean_init_hi=1e10, var_init=1e-300)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out_dir)]) == 2
+    assert ("error: config key 'mean_box_lo', 'mean_box_hi', 'var_box_lo', 'var_box_hi': "
+            "box ratio max(|mean_lo|, |mean_hi|, 1) / var_lo must be finite and <= 1e+150, "
+            "got inf") in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert calls == []
+
+
 def test_run_missing_file(tmp_path, capsys, monkeypatch):
     # a missing file, a directory and a file that is not UTF-8 are config
     # errors, found before any output directory or simulation

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cvarsearch
 from cvarsearch import engine
-from cvarsearch.benchmarks import BenchmarkLoss
+from cvarsearch.benchmarks import BENCHMARK_IDS, BenchmarkLoss
 from cvarsearch.engine import (
     GRAD_THRESHOLD,
     MAX_ITERATIONS,
@@ -334,7 +334,7 @@ def _avx512_dispatch_targets() -> list[str]:
 _DISPATCH_RUN = """
 import sys
 import numpy as np
-from cvarsearch.benchmarks import BenchmarkLoss
+from cvarsearch.benchmarks import BENCHMARK_IDS, BenchmarkLoss
 from cvarsearch.engine import evaluate_candidates
 loss = BenchmarkLoss("l0", 2)
 xs = np.random.default_rng(1).uniform(-2.0, 2.0, (40, 2))
@@ -667,6 +667,70 @@ class TestChunkedStreams:
         assert np.array_equal(got, empirical_cvar(rows, 0.5))
 
 
+class ForwardingLoss:
+    """A loss that only forwards ``simulate(x, m, rng)`` to a benchmark, so
+    the engine takes its general path: one draw call and one copy per
+    candidate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def simulate(self, x, m, rng):
+        return self.inner.simulate(x, m, rng)
+
+
+class TestChunkedNormals:
+    """A ``BenchmarkLoss`` chunk draws its standard normals in one call and
+    forms each row's losses in place.
+
+    The estimates equal the general path's bit for bit only while NumPy
+    forms ``loc + scale * z`` in ``Generator.normal`` without a fused
+    multiply-add, as its x86-64 builds do: z * scale is rounded before loc
+    is added, exactly as ``row *= scale; row += loc``.  A build that fuses
+    the two rounds once and fails here; that is a finding about that build,
+    not a reason to skip."""
+
+    @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+    @pytest.mark.parametrize("dim", [4, 10])
+    # an evaluation below _THREAD_MIN_DRAWS runs on one thread whatever the cap
+    @pytest.mark.parametrize("m,threads", [(30, 1), (600, 1), (5000, 1), (5000, 2),
+                                           (70_000, 1), (70_000, 2)])
+    def test_fused_estimates_match_the_general_path(self, benchmark_id, dim, m, threads,
+                                                    monkeypatch):
+        monkeypatch.setattr(engine, "_THREADS", threads)
+        loss = BenchmarkLoss(benchmark_id, dim)
+        general = ForwardingLoss(loss)
+        # two whole chunks and a partial third, or one partial chunk at m = 30
+        n = min(2 * engine._chunk_rows(m) + 3, 300)
+        xs = np.random.default_rng(m + dim).uniform(-3.0, 3.0, size=(n, dim))
+        seq = as_seed_sequence(29)
+        for alpha in (0.0, 0.5, 0.95, 0.99):
+            fused = engine._candidate_cvars(loss, xs, alpha, m, seq, engine._LOSS_REALM, 4)
+            want = engine._candidate_cvars(general, xs, alpha, m, seq, engine._LOSS_REALM, 4)
+            assert fused.tobytes() == want.tobytes()
+            assert (evaluate_candidates(loss, xs, alpha, m, 31).tobytes()
+                    == evaluate_candidates(general, xs, alpha, m, 31).tobytes())
+
+    def test_each_row_is_formed_in_the_chunk_buffer(self, monkeypatch):
+        # one simulate call per candidate, each given its row of one buffer
+        rows = []
+        simulate = BenchmarkLoss.simulate
+
+        def recording(self, x, m, rng, normals=None):
+            rows.append(normals)
+            return simulate(self, x, m, rng, normals=normals)
+
+        monkeypatch.setattr(BenchmarkLoss, "simulate", recording)
+        m = 600
+        n = engine._chunk_rows(m) + 3
+        xs = np.random.default_rng(2).uniform(-2.0, 2.0, size=(n, 2))
+        evaluate_candidates(BenchmarkLoss("l0", 2), xs, 0.9, m, 7)
+        assert len(rows) == n
+        assert all(row is not None and row.shape == (m,) for row in rows)
+        buffer = rows[0].base
+        assert buffer is not None and all(row.base is buffer for row in rows)
+
+
 class TestFixedLevelRun:
     LOSS = BenchmarkLoss("l0", 2)
 
@@ -847,6 +911,17 @@ class TestFiniteInputs:
                              lambda v: update_risk_level(RiskSchedule.start(0.0, 0.9), v)),
         "oracle_sd": ("sd must be finite and >= 0", None,
                       lambda v: gaussian_cvar_oracle(0.0, v, 0.9)),
+        "oracle_mean": ("mean must be finite", None,
+                        lambda v: gaussian_cvar_oracle(v, 1.0, 0.9)),
+        # every BenchmarkLoss method checks its point by one rule
+        "loss_cvar": ("x must be finite", None,
+                      lambda v: BenchmarkLoss("l0", 2).cvar([v, 0.0], 0.9)),
+        "loss_simulate": ("x must be finite", None,
+                          lambda v: BenchmarkLoss("l0", 2).simulate([0.0, v], 3, None)),
+        "loss_deterministic": ("x must be finite", None,
+                               lambda v: BenchmarkLoss("l0", 2).deterministic([v, 0.0])),
+        "loss_noise_scale": ("x must be finite", None,
+                             lambda v: BenchmarkLoss("l0", 2).noise_scale([0.0, v])),
         "box_mean_lo": ("mean_lo must be finite", None,
                         lambda v: ProjectionBox(**{**TestFiniteInputs.BOX, "mean_lo": v})),
         "box_mean_hi": ("mean_hi must be finite and >= -1.0", None,
@@ -919,6 +994,32 @@ class TestBoxReach:
             ProjectionBox(*bounds)
         assert str(err.value) == ("box reach max(|mean_lo|, |mean_hi|) + 10 sqrt(var_hi) "
                                   f"must be finite and <= 1e+75, got {reach}")
+
+    # the natural coordinates mean / variance and -1 / (2 variance) reach
+    # 1e150, through a mean bound and through the variance floor alone
+    @pytest.mark.parametrize("mean,var_lo", [(1e10, 1e-140), (1.0, 1e-150)])
+    def test_search_at_the_ratio_ceiling_stays_finite(self, mean, var_lo):
+        config = small_config(
+            init_params=SamplingParams(mean=[mean, 0.0], variance=[var_lo, var_lo]),
+            box=ProjectionBox(-mean, mean, var_lo, 1.0),
+            n_candidates=PowerGrowthSchedule(20, 0.0), max_iterations=5)
+        out = run_gass_cvar(config, self.Constant(), 0.9, 10, 1)
+        assert np.all(np.isfinite(out.records.grad_norm))
+        assert np.all(np.isfinite(out.final_best_candidate))
+
+    @pytest.mark.parametrize("bounds", [
+        # a mean of 1e10 over a variance of 1e-300 overflows to_natural
+        (-1e10, 1e10, 1e-300, 1.0),
+        (-1.0, 1e60, 1e-91, 1.0),
+        (0.0, 0.0, 1e-151, 1.0),
+    ])
+    def test_box_beyond_the_ratio_ceiling_refused(self, bounds):
+        mean_lo, mean_hi, var_lo, _ = bounds
+        ratio = max(abs(mean_lo), abs(mean_hi), 1.0) / var_lo
+        with pytest.raises(ValueError) as err:
+            ProjectionBox(*bounds)
+        assert str(err.value) == ("box ratio max(|mean_lo|, |mean_hi|, 1) / var_lo "
+                                  f"must be finite and <= 1e+150, got {ratio}")
 
 
 class TestRampedRun:
