@@ -132,8 +132,9 @@ class BenchmarkLoss:
     into a list of Python floats and computes L(x) and noise_scale(x) on
     it, because a search evaluates one small point per candidate, where
     plain float arithmetic is several times cheaper than NumPy calls.
-    ``simulate`` is then one ``rng.normal(L(x), noise_scale(x), m)`` call,
-    or, given standard normals z already drawn, ``z *= s; z += L`` in place.
+    ``simulate`` forms its losses from m standard normals z, drawn by one
+    ``rng.standard_normal(m)`` call or given, by ``z *= s; z += L`` in
+    place: one formula, so equal normals give equal bits on every route.
     A value that overflows is inf, as in NumPy, never an OverflowError.
     """
 
@@ -181,21 +182,19 @@ class BenchmarkLoss:
                  normals: np.ndarray | None = None) -> np.ndarray:
         """m independent noisy loss draws at x.
 
-        Without ``normals`` they are drawn from rng.  With ``normals``, a
-        float64 array of shape (m,) holding m standard normals the caller
-        drew from rng, the losses are formed in it in place and it is
-        returned; rng is not used.  Both give the same bits for the same
-        standard normals, as long as NumPy forms ``loc + scale * z``
-        without a fused multiply-add, as it does on x86-64.
+        Without ``normals``, m standard normals are drawn from rng by one
+        ``standard_normal(m)`` call.  ``normals`` is instead a float64
+        array of shape (m,) holding m standard normals the caller drew from
+        rng, which is then not used.  Either way the losses are formed in
+        the normals in place, ``normals *= scale; normals += loc``, and
+        that array is returned, so the same normals give the same bits.
         """
         m = _check_count(m, "m")
         loc, scale = self._location_scale(x)
         if normals is None:
-            # one pass over the draws: NumPy forms loc + scale * z per
-            # standard normal z, the stream's standard_normal(m) draws
-            return rng.normal(loc, scale, m)
-        if not (isinstance(normals, np.ndarray) and normals.dtype == np.float64
-                and normals.shape == (m,)):
+            normals = rng.standard_normal(m)
+        elif not (isinstance(normals, np.ndarray) and normals.dtype == np.float64
+                  and normals.shape == (m,)):
             raise ValueError(f"normals must be a float64 array of shape ({m},)")
         normals *= scale
         normals += loc

@@ -78,9 +78,10 @@ candidate m alone: chunk c is NumPy's own
 one after another, in index order.  For a ``BenchmarkLoss`` one
 ``standard_normal`` call fills the chunk instead, row after row, and each
 row becomes its candidate's losses in place: the standard normals that
-``rng.normal(L(x), noise_scale(x), m)`` per candidate would draw, scaled
-and shifted with its roundings, so every value keeps its bits.  A chunk
-holds at most 2^16 draws, or one candidate when a candidate takes more.
+its ``simulate(x, m, rng)`` per candidate would draw, scaled and shifted
+by the one formula ``simulate`` applies to every draw, so every value
+keeps its bits.  A chunk holds at most 2^16 draws, or one candidate when
+a candidate takes more.
 Every stream is a SeedSequence-seeded NumPy SFC64 generator: it draws
 normals faster than PCG64, and each has its own mixed state with a cycle
 of at least 2^64.
@@ -196,7 +197,7 @@ class LossModel(Protocol):
     A ``BenchmarkLoss`` is not called this way: the engine draws its whole
     chunk's standard normals in one call and passes each candidate's row
     as ``simulate(x, m, rng, normals=row)``, which forms the losses in the
-    row in place.
+    row in place by the formula its own draws take.
     """
 
     def simulate(self, x, m: int, rng: np.random.Generator) -> np.ndarray: ...
@@ -360,7 +361,8 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     estimate depends on its chunk index and row alone.  A ``BenchmarkLoss``
     chunk instead fills the buffer with one ``standard_normal`` call and
     passes each row to ``simulate(x, m, rng, normals=row)``, which forms the
-    losses in it: the same normals in the same order, so the same bits.
+    losses in it as it forms its own draws: the same normals in the same
+    order and the same formula, so the same bits.
     From ``_THREAD_MIN_DRAWS`` draws every thread, the calling one included,
     takes the next unclaimed chunk from one shared range iterator, whose
     ``next`` holds the interpreter lock, until none is left.  A thread that
@@ -489,7 +491,7 @@ def run_gass_cvar(config: GassConfig, loss: LossModel, alpha_star: float,
     records, terminated = _run_search(config, loss, seed_seq, schedule, lambda alpha: m)
     j = int(np.argmin(records.best_cvar_estimate))
     best = records.best_candidate[j]
-    final_value = _candidate_cvars(
+    final_value = evaluate_candidates(
         loss, [best], schedule.alpha_target, m, substream(seed_seq, _FINAL_REALM, j),
     )[0]
     return RunResult(

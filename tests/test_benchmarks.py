@@ -251,11 +251,22 @@ class TestNoise:
         assert rng.bit_generator.state == want.bit_generator.state
 
 
+class StandardNormalOnly:
+    """A stream that offers ``standard_normal`` alone, from an SFC64
+    generator: a loss drawing in any other way fails on it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.SFC64(seed))
+
+    def standard_normal(self, *args, **kwargs):
+        return self._rng.standard_normal(*args, **kwargs)
+
+
 class TestGivenNormals:
-    """``simulate(x, m, rng, normals=z)`` forms the losses in z in place;
-    its bits equal ``rng.normal``'s while NumPy forms loc + scale * z
-    without a fused multiply-add (see ``TestChunkedNormals`` in the engine
-    tests)."""
+    """``simulate(x, m, rng, normals=z)`` forms the losses in z in place,
+    z * s(x) rounded and then L(x) added: the formula ``simulate(x, m,
+    rng)`` applies to the normals it draws itself (see
+    ``TestChunkedNormals`` in the engine tests)."""
 
     @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
     @pytest.mark.parametrize("m", [1, 600])
@@ -267,10 +278,24 @@ class TestGivenNormals:
             z = twin.standard_normal(m)
             got = loss.simulate(x, m, twin, normals=z)
             assert got is z
-            want = rng.normal(loss.deterministic(x), loss.noise_scale(x), m)
+            scaled = rng.standard_normal(m) * loss.noise_scale(x)
+            want = scaled + loss.deterministic(x)
             assert got.tobytes() == want.tobytes()
             # the given normals take nothing more from the stream
             assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+    @pytest.mark.parametrize("m", [1, 600])
+    def test_drawn_normals_formed_as_given_ones(self, benchmark_id, m):
+        # simulate draws by standard_normal alone, so its losses are the
+        # given-normals losses on a twin stream, bit for bit
+        dim = MIN_DIM.get(benchmark_id, 3)
+        loss = BenchmarkLoss(benchmark_id, dim)
+        for x in np.random.default_rng(4).uniform(-3.0, 3.0, size=(5, dim)):
+            got = loss.simulate(x, m, StandardNormalOnly(12))
+            twin = np.random.Generator(np.random.SFC64(12))
+            want = loss.simulate(x, m, twin, normals=twin.standard_normal(m))
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [
         np.zeros(5), np.zeros(3), np.zeros((1, 4)), np.zeros(4, dtype=np.float32),

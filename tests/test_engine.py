@@ -683,12 +683,9 @@ class TestChunkedNormals:
     """A ``BenchmarkLoss`` chunk draws its standard normals in one call and
     forms each row's losses in place.
 
-    The estimates equal the general path's bit for bit only while NumPy
-    forms ``loc + scale * z`` in ``Generator.normal`` without a fused
-    multiply-add, as its x86-64 builds do: z * scale is rounded before loc
-    is added, exactly as ``row *= scale; row += loc``.  A build that fuses
-    the two rounds once and fails here; that is a finding about that build,
-    not a reason to skip."""
+    The estimates equal the general path's bit for bit: there each
+    candidate's ``simulate(x, m, rng)`` draws the same normals from the
+    chunk's stream and forms them by the same ``*= scale; += loc``."""
 
     @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
     @pytest.mark.parametrize("dim", [4, 10])
