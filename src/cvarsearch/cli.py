@@ -21,7 +21,7 @@ import sys
 
 from . import harness
 from .benchmarks import BENCHMARK_IDS, BenchmarkLoss, l0_min_cvar_oracle
-from .risk import _check_count
+from .engine import _cpu_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a YAML experiment config")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
     p_run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="process count for replications (default: 1)")
     p_run.add_argument("--replications", type=int, default=None,
                        help="override the replication count")
 
@@ -72,11 +70,10 @@ def _cmd_run(args) -> int:
         overrides["replications"] = args.replications
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    with harness._keys("workers"):
-        _check_count(args.workers, "workers")
     _make_out_dir(args.out)
     reference = harness.emit_reference_run(config, cache_dir=args.out)
-    result = harness.run_experiment(config, workers=args.workers,
+    # one process per CPU the run may use, at most one per replication
+    result = harness.run_experiment(config, workers=_cpu_count(),
                                     reference_value=reference)
     paths = harness.emit_csv(result, args.out)
     print(f"benchmark={config.benchmark} dim={config.dim} "

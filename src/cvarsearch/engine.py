@@ -153,9 +153,12 @@ _LOSS_REALM = 1
 _FINAL_REALM = 2
 
 # draws per candidate from which an evaluation runs on several threads.
-# On a 2-vCPU host (1,000 l0 candidates at alpha 0.95, best of 7 calls per
-# round, sets of 5 rounds), 2 threads claiming chunks beat 1 in 1 and 2 of
-# 5 rounds at 1,000 draws, 5 and 4 of 5 at 1,500, and 5 and 5 of 5 at 2,000
+# On a 2-vCPU host (1,000 l0 candidates at D = 10 and alpha 0.95, each chunk
+# one standard_normal fill, best of 7 calls per round, three runs of two
+# sets of 5 rounds), 2 threads claiming chunks beat 1 in 8 of 10 rounds at
+# 400 draws (two runs), 10, 6 and 10 of 10 at 600, 10, 9 and 10 at 1,000,
+# and 10 of 10 in every run at 1,500 and 2,000.  With desk's 200 candidates
+# at D = 2 they beat 1 in 7 of 10 at 600 and 8 of 10 at 1,000.
 _THREAD_MIN_DRAWS = 1500
 # threads per evaluation; None is every CPU the process may run on
 _THREADS: int | None = None

@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 
@@ -229,13 +230,30 @@ def test_run_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.filterwarnings(CONSTANT_COUNTS)
-def test_run_zero_workers_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypatch):
-    calls = count_simulate(monkeypatch)
-    out_dir = tmp_path / "out"
+def test_run_takes_its_process_count_from_the_cpus(tmp_path, monkeypatch, inline_pools):
+    # one process per CPU the run may use, at most one per replication, each
+    # on its share of the CPUs; the files do not depend on the count
     config = write_config(tmp_path)
-    assert main(["run", str(config), "--workers", "0", "--out", str(out_dir)]) == 2
-    assert "config key 'workers': workers must be >= 1, got 0" in capsys.readouterr().err
-    assert not out_dir.exists()
+    names = ("iterations.csv", "curve.csv", "alpha.csv", "summary.json")
+    files = {}
+    for cpus, pools in ((1, []), (4, [(2, (2,))])):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        inline_pools.clear()
+        out_dir = tmp_path / f"cpus{cpus}"
+        assert main(["run", str(config), "--out", str(out_dir)]) == 0
+        assert [(pool["max_workers"], pool["initargs"]) for pool in inline_pools] == pools
+        files[cpus] = [(out_dir / name).read_bytes() for name in names]
+    assert files[1] == files[4]
+
+
+def test_run_has_no_workers_option(tmp_path, capsys, monkeypatch):
+    calls = count_simulate(monkeypatch)
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(config), "--workers", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert calls == []
 
 

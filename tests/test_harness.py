@@ -1,9 +1,7 @@
-import concurrent.futures
 import dataclasses
 import json
 import math
 import os
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -46,31 +44,6 @@ TINY = dict(
 
 def tiny_config(**overrides):
     return ExperimentConfig(**{**TINY, **overrides})
-
-
-def inline_pools(monkeypatch) -> list:
-    """Replace the process pool the harness imports by one that records its
-    arguments, starts no process and runs each task inline, without the
-    initializer."""
-    made = []
-
-    class InlinePool:
-        def __init__(self, **kwargs):
-            made.append(kwargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return made
 
 
 def write_config(config: ExperimentConfig, path):
@@ -400,23 +373,22 @@ class TestExperiment:
             run_experiment(tiny_config(), workers=1, reference_value=reference)
 
     @pytest.mark.parametrize("replications,pools", [(3, [3]), (1, [])])
-    def test_pool_no_larger_than_replications(self, replications, pools, monkeypatch):
+    def test_pool_no_larger_than_replications(self, replications, pools, inline_pools):
         # a fork-started pool launches every worker at the first submit
-        made = inline_pools(monkeypatch)
         config = tiny_config(replications=replications)
         result = run_experiment(config, workers=64, reference_value=1.0)
-        assert [pool["max_workers"] for pool in made] == pools
+        assert [pool["max_workers"] for pool in inline_pools] == pools
         assert [o.rep for o in result.outcomes] == list(range(replications))
 
     @pytest.mark.parametrize("cpus,workers,threads",
                              [(8, 2, 4), (8, 3, 2), (7, 2, 3), (2, 2, 1), (2, 3, 1), (1, 3, 1)])
-    def test_pool_processes_share_the_cpus(self, cpus, workers, threads, monkeypatch):
+    def test_pool_processes_share_the_cpus(self, cpus, workers, threads, monkeypatch,
+                                           inline_pools):
         # workers x threads never exceeds the CPUs the process may run on
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        made = inline_pools(monkeypatch)
         run_experiment(tiny_config(), workers=workers, reference_value=1.0)
-        (pool,) = made
+        (pool,) = inline_pools
         assert pool["initargs"] == (threads,)
         # the initializer, run where a pool process would run it
         monkeypatch.setattr(engine, "_THREADS", None)
