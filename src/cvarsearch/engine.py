@@ -227,8 +227,10 @@ class PowerLawStepSize:
 class PowerGrowthSchedule:
     """count(k) = ceil(base * max(k, 1)^exponent); k = 0 maps to base.
 
-    Exponent 0 gives the constant count base.  base >= 2 and a finite
-    exponent >= 0 keep every count >= 2, as the sample variance needs.
+    Exponent 0 gives the constant count base, which falls outside the
+    asymptotic growth conditions of GASS's convergence result.  base >= 2
+    and a finite exponent >= 0 keep every count >= 2, as the sample
+    variance needs.
     """
 
     base: int

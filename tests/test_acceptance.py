@@ -10,7 +10,6 @@ take about 25 minutes per arm on one CPU, and its budget-saving ratio,
 
 import dataclasses
 import math
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,9 +49,7 @@ def report(num: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def desk_runs():
     """Both algorithms on the shipped desk config, plus the oracle optimum."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        config = load_config(CONFIGS / "desk_l0.yaml")
+    config = load_config(CONFIGS / "desk_l0.yaml")
     oracle = emit_reference_run(config)
     fixed = run_experiment(config, workers=1, reference_value=oracle)
     ramped = run_experiment(
@@ -307,9 +304,7 @@ def test_criterion_7_determinism_across_workers(tmp_path):
 def test_criterion_7_determinism_across_threads(tmp_path, monkeypatch):
     # the desk run's re-evaluations (final_eval_budget draws each) are the
     # evaluations large enough to run on several threads
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        config = load_config(CONFIGS / "desk_l0.yaml")
+    config = load_config(CONFIGS / "desk_l0.yaml")
     oracle = emit_reference_run(config)
     names = ("iterations.csv", "curve.csv", "alpha.csv", "summary.json")
     blobs = {}

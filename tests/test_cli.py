@@ -28,10 +28,6 @@ RUN_KEYS = dict(
 )
 
 
-# load_config's warning for the constant schedules of RUN_KEYS
-CONSTANT_COUNTS = "ignore:constant candidate and simulation counts:UserWarning"
-
-
 def write_config(tmp_path, **overrides):
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump({**RUN_KEYS, **overrides}, sort_keys=False))
@@ -93,7 +89,6 @@ def test_oracle(capsys):
     assert f"value={want!r}" in out
 
 
-@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -105,7 +100,6 @@ def test_run_writes_outputs(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
-@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_replication_override(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -185,7 +179,6 @@ def test_run_unknown_key(tmp_path, capsys):
     assert "'spices'" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_runtime_value_error_is_exit_3(tmp_path, capsys, monkeypatch):
     # a ValueError after the config was accepted is a runtime failure
     def fail(*args, **kwargs):
@@ -197,7 +190,6 @@ def test_run_runtime_value_error_is_exit_3(tmp_path, capsys, monkeypatch):
     assert "losses must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_reference_command(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["reference", str(config), "--out", str(tmp_path / "cache")]) == 0
@@ -218,7 +210,6 @@ def count_simulate(monkeypatch):
     return calls
 
 
-@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypatch):
     calls = count_simulate(monkeypatch)
     config = write_config(tmp_path)
@@ -229,7 +220,6 @@ def test_run_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypat
     assert calls == []
 
 
-@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_run_takes_its_process_count_from_the_cpus(tmp_path, monkeypatch, inline_pools):
     # one process per CPU the run may use, at most one per replication, each
     # on its share of the CPUs; the files do not depend on the count
@@ -257,7 +247,6 @@ def test_run_has_no_workers_option(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.filterwarnings(CONSTANT_COUNTS)
 def test_reference_bad_out_is_exit_2_before_any_simulation(tmp_path, capsys, monkeypatch):
     calls = count_simulate(monkeypatch)
     config = write_config(tmp_path, benchmark="rosenbrock", reference_n_candidates=6,

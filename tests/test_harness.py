@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,9 +170,7 @@ class TestConfigFiles:
         config = tiny_config()
         path = tmp_path / "exp.yaml"
         write_config(config, path)
-        with pytest.warns(UserWarning, match="constant candidate and simulation counts"):
-            loaded = load_config(path)
-        assert loaded == config
+        assert load_config(path) == config
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -213,19 +212,19 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_growth_exponent_silences_warning(self, tmp_path, recwarn):
-        config = tiny_config(n_growth_exponent=0.2)
-        path = tmp_path / "exp.yaml"
-        write_config(config, path)
-        load_config(path)
-        assert not [w for w in recwarn if "growth" in str(w.message)]
 
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 class TestShippedConfigs:
-    @pytest.mark.filterwarnings("ignore:constant candidate and simulation counts:UserWarning")
+    @pytest.mark.parametrize("name", ["configs/desk_l0.yaml", "configs/paper_full.yaml",
+                                      "perfbench/reference_large.yaml"])
+    def test_loads_without_warnings(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert isinstance(load_config(ROOT / name), ExperimentConfig)
+
     def test_full_scale_defaults(self):
         config = load_config(CONFIGS / "paper_full.yaml")
         assert config.benchmark == "l0"
@@ -244,7 +243,6 @@ class TestShippedConfigs:
         assert config.replications == 50
         assert config.final_eval_budget == 100_000
 
-    @pytest.mark.filterwarnings("ignore:constant candidate and simulation counts:UserWarning")
     @pytest.mark.parametrize("name", ["desk_l0.yaml", "paper_full.yaml"])
     def test_round_trip_unchanged(self, name, tmp_path):
         config = load_config(CONFIGS / name)
@@ -502,8 +500,8 @@ class TestReference:
         assert len(json.loads((tmp_path / "reference_cache.json").read_text())) == 2
 
     def test_reference_seed_unchanged_by_cache_key(self):
-        # the search seed still hashes the original field set; this hash
-        # predates grad_norm_stop and n_growth_exponent joining the key
+        # the search seed hashes its own frozen field set, not the cache
+        # key's: a new seed would re-draw every reference
         seed_key = harness._fields_hash(self.search_config(), harness._REFERENCE_SEED_FIELDS)
         assert seed_key == "92fe555bd670c9f63fadb03d8356226100a08fe81476e25f6177067252cc3f77"
 
@@ -560,6 +558,22 @@ class TestReference:
             emit_reference_run(dataclasses.replace(config, rho=0.2), cache_dir=tmp_path)
         assert cache_path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["reference_cache.json"]
+
+    def test_unusable_cache_dir_fails_before_the_search(self, tmp_path, monkeypatch):
+        # a regular file where the cache directory should be
+        cache_dir = tmp_path / "cache"
+        cache_dir.write_text("")
+        searches = []
+        search = harness.run_gass_cvar
+
+        def spy(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_gass_cvar", spy)
+        with pytest.raises(OSError):
+            emit_reference_run(self.search_config(), cache_dir=cache_dir)
+        assert searches == []
 
     def test_entry_of_an_older_schema_misses(self, tmp_path):
         # chunks hold 2**16 draws since schema 7, which moves non-l0
