@@ -91,25 +91,42 @@ thread's buffer (a ``BenchmarkLoss`` forms its losses there; another
 loss's m draws per candidate are copied in) and reduced to CVaR estimates
 by one call, so a search or re-evaluation holds one chunk of loss draws
 per thread, at most 512 KiB or one candidate's draws when they are more,
-not the O(N_k * M_k) loss matrix.  The reduction partitions the chunk in place and copies only
+not the O(N_k * M_k) loss matrix.  A search on several threads adds the
+draw-ahead's two sets of one 512 KiB buffer per thread, whatever
+N_k * M_k is.  The reduction partitions the chunk in place and copies only
 each row's tail from its VaR up, so its transients shrink with 1 - alpha:
 about a tenth of the chunk at 0.95.
 
-Threads: from ``_THREAD_MIN_DRAWS`` draws per candidate, the threads of
-an evaluation claim its chunks one at a time from one shared iterator
-until none is left, so a thread that starts late claims fewer; below it,
-starting threads costs more than they save.  The thread count is
-derived, never set: the CPUs the process may run on, capped by the chunk
-count, and lowered in each worker of a process pool so that workers x
-threads stays within the CPUs.  A chunk is never split between threads,
-so no value depends on the thread count or on which thread took a chunk.
+Threads: the thread count is derived, never set: the CPUs the process
+may run on, lowered in each worker of a process pool so that workers x
+threads stays within the CPUs.  On one CPU nothing starts a thread.  A
+search run owns one pool of the threads beyond the calling one, shut
+down before the run returns, however it ends; ``evaluate_candidates``
+starts one per call where it needs one.  The pool serves two kinds of
+work:
+
+- from ``_THREAD_MIN_DRAWS`` draws per candidate, the threads of an
+  evaluation, at most one per chunk, claim its chunks one at a time from
+  one shared iterator until none is left, so a thread that starts late
+  claims fewer; below it, the threads would wait on each other for the
+  interpreter lock in the per-candidate ``simulate`` calls;
+- for a ``BenchmarkLoss``, while iteration k is formed, a pool task draws
+  the standard normals of iteration k + 1's first chunks (``_DrawAhead``).
+  Chunk c's stream is keyed by (k + 1, c) alone, whatever M_{k+1} turns
+  out to be, and the draw releases the interpreter lock, so it overlaps
+  the calling thread's forming, reduction and step.
+
+A chunk is never split between threads, and a drawn-ahead chunk is
+continued from the generator that drew it, so no value depends on the
+thread count or on which thread drew or took a chunk.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -153,14 +170,20 @@ _LOSS_REALM = 1
 _FINAL_REALM = 2
 
 # draws per candidate from which an evaluation runs on several threads.
-# On a 2-vCPU host (1,000 l0 candidates at D = 10 and alpha 0.95, each chunk
-# one standard_normal fill, best of 7 calls per round, three runs of two
-# sets of 5 rounds), 2 threads claiming chunks beat 1 in 8 of 10 rounds at
-# 400 draws (two runs), 10, 6 and 10 of 10 at 600, 10, 9 and 10 at 1,000,
-# and 10 of 10 in every run at 1,500 and 2,000.  With desk's 200 candidates
-# at D = 2 they beat 1 in 7 of 10 at 600 and 8 of 10 at 1,000.
+# On a 2-vCPU host, with the threads a pool that outlives the calls (1,000
+# l0 candidates at D = 10 and alpha 0.95, each chunk one standard_normal
+# fill, best of 7 calls per round, three runs of two sets of 5 rounds),
+# 2 threads claiming chunks beat 1 in 9, 9 and 10 of 10 rounds at 400
+# draws, 8, 7 and 10 at 600, and 10 of 10 in every run at 1,000, 1,500 and
+# 2,000.  With desk's 200 candidates at D = 2 they beat 1 in 1, 1 and 6 of
+# 10 at 600 and 10 of 10 at 1,000 and 1,500.  In a search of desk's size,
+# 40 iterations whose next normals a pool thread draws ahead, claims beat
+# the draw-ahead alone in 1 of 10 runs at 600 draws (median time x1.18),
+# 3 of 10 at 1,000 (x1.05), 10 of 10 at 1,500 (x0.90) and 9 of 10 at
+# 2,000 (x0.80): the break-even of a search stays at 1,500.
 _THREAD_MIN_DRAWS = 1500
-# threads per evaluation; None is every CPU the process may run on
+# threads of a search run or evaluation; None is every CPU the process may
+# run on
 _THREADS: int | None = None
 
 
@@ -346,16 +369,62 @@ def newton_step_vector(theta: np.ndarray, grad: np.ndarray, var_matrix: np.ndarr
     return theta + step_size * direction
 
 
+# draws in one chunk: 512 KiB of float64 losses
+_CHUNK_DRAWS = 2**16
+
+
 def _chunk_rows(m: int) -> int:
-    """Candidates in one chunk at m draws each: as many as 2**16 draws hold
-    (512 KiB of losses), or one when a candidate takes more.  A chunk shares
-    one stream, one buffer and one reduction; at 50,000 draws a stream per
+    """Candidates in one chunk at m draws each: as many as ``_CHUNK_DRAWS``
+    draws hold, or one when a candidate takes more.  A chunk shares one
+    stream, one buffer and one reduction; at 50,000 draws a stream per
     candidate costs about 3% of the candidate's draws."""
-    return max(1, 2**16 // m)
+    return max(1, _CHUNK_DRAWS // m)
+
+
+class _DrawAhead:
+    """The standard normals of a search iteration's first chunks, drawn on
+    the run's pool while the calling thread forms the previous iteration.
+
+    Two sets of one ``_CHUNK_DRAWS`` buffer per thread are allocated once,
+    on the calling thread, and alternate between iterations: iteration k
+    takes the set drawn for it while the next iteration's draws fill the
+    other.  Each chunk is its own task, so on many CPUs they run side by
+    side.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor, threads: int):
+        self._pool = pool
+        self._sets = np.empty((2, threads, _CHUNK_DRAWS))
+        self._pending = []
+
+    def start(self, seq: np.random.SeedSequence, k: int, n: int, m: int):
+        """Start iteration k's draws from iteration k - 1's sizes n and m:
+        the first min(C, n) * m standard normals, at most a buffer, of
+        chunk stream (_LOSS_REALM, k, c) for each c < min(chunks, threads),
+        where C is ``_chunk_rows(m)``."""
+        rows = min(_chunk_rows(m), n)
+        count = min(rows * m, _CHUNK_DRAWS)
+
+        def draw(c, buffer):
+            rng = generator(substream(seq, _LOSS_REALM, k, c))
+            rng.standard_normal(out=buffer[:count])
+            return rng, buffer, count
+
+        # slicing caps the chunks at one buffer per thread
+        self._pending = [self._pool.submit(draw, c, buffer)
+                         for c, buffer in enumerate(self._sets[k % 2, :-(-n // rows)])]
+
+    def take(self) -> list:
+        """The pending draws' (generator, buffer, count drawn), one per
+        chunk, once they are done; empty when none is pending."""
+        pending, self._pending = self._pending, []
+        return [future.result() for future in pending]
 
 
 def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
-                     seq: np.random.SeedSequence, *key: int) -> np.ndarray:
+                     seq: np.random.SeedSequence, *key: int,
+                     pool: ThreadPoolExecutor | None = None,
+                     drawn: Sequence = ()) -> np.ndarray:
     """CVaR estimate of each candidate in xs from m fresh simulations.
 
     Candidate i is row ``i % C`` of chunk ``i // C``, where C is
@@ -368,12 +437,24 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     passes each row to ``simulate(x, m, rng, normals=row)``, which forms the
     losses in it as it forms its own draws: the same normals in the same
     order and the same formula, so the same bits.
+
+    ``drawn`` holds, for a ``BenchmarkLoss``'s first chunks, the
+    (generator, buffer, count) that ``_DrawAhead`` drew: chunk c's stream
+    with its first count normals already in the buffer.  The chunk is
+    formed in that buffer, from a prefix of it when it needs fewer, after
+    the same generator draws the rest when it needs more; a candidate
+    larger than the buffer gets the drawn normals copied into its thread's
+    own buffer first.  Successive draws from one generator equal one
+    draw, so every value keeps its bits.
+
     From ``_THREAD_MIN_DRAWS`` draws every thread, the calling one included,
     takes the next unclaimed chunk from one shared range iterator, whose
-    ``next`` holds the interpreter lock, until none is left.  A thread that
-    fails takes every chunk still unclaimed, so the others stop after
-    their current chunk.  The calling thread's error, else the first failed
-    pool task's, reaches the caller once every thread has stopped.
+    ``next`` holds the interpreter lock, until none is left.  The other
+    threads are tasks on ``pool``, the search run's, or else on a pool
+    started for this call.  A thread that fails takes every chunk still
+    unclaimed, so the others stop after their current chunk.  The calling
+    thread's error, else the first failed pool task's, reaches the caller
+    once every thread has stopped.
     """
     n = len(xs)
     chunk = _chunk_rows(m)
@@ -384,14 +465,27 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     fused = isinstance(loss, BenchmarkLoss)
 
     def fill():
-        buffer = np.empty((min(chunk, n), m))
+        buffer = None
         try:
             for c in todo:
                 lo, hi = c * chunk, min(c * chunk + chunk, n)
-                rng = generator(substream(seq, *key, c))
-                block = buffer[:hi - lo]
+                size = (hi - lo) * m
+                if c < len(drawn):
+                    rng, prefilled, count = drawn[c]
+                else:
+                    rng, prefilled, count = generator(substream(seq, *key, c)), None, 0
+                if prefilled is not None and size <= prefilled.size:
+                    flat = prefilled[:size]
+                else:
+                    if buffer is None:
+                        buffer = np.empty(min(chunk, n) * m)
+                    flat = buffer[:size]
+                    if count:
+                        flat[:count] = prefilled[:count]
+                block = flat.reshape(hi - lo, m)
                 if fused:
-                    rng.standard_normal(out=block)
+                    if count < size:
+                        rng.standard_normal(out=flat[count:])
                     for row, x in zip(block, xs[lo:hi]):
                         loss.simulate(x, m, rng, normals=row)
                 else:
@@ -411,10 +505,14 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     if threads == 1:
         fill()
         return out
-    # created per call, so that no thread outlives it (a process pool forks)
-    with ThreadPoolExecutor(threads - 1) as pool:
-        rest = [pool.submit(fill) for _ in range(threads - 1)]
-        fill()
+    # a call outside a search run starts its own pool, so that no thread
+    # outlives it (a process pool forks)
+    with nullcontext(pool) if pool is not None else ThreadPoolExecutor(threads - 1) as workers:
+        rest = [workers.submit(fill) for _ in range(threads - 1)]
+        try:
+            fill()
+        finally:
+            wait(rest)
         for future in rest:
             future.result()
     return out
@@ -453,29 +551,50 @@ def _step(params: SamplingParams, xs: np.ndarray, cvars: np.ndarray, k: int,
 
 def _run_search(config: GassConfig, loss: LossModel, seed_seq,
                 schedule: RiskSchedule, inner_budget: Callable[[float], int]):
-    """The search loop: alpha_k from the schedule, M_k = inner_budget(alpha_k)."""
+    """The search loop: alpha_k from the schedule, M_k = inner_budget(alpha_k).
+
+    On several CPUs the run owns one thread pool, for the chunk claims of
+    its evaluations and, with a ``BenchmarkLoss``, the draw-ahead of each
+    next iteration's normals.  However the run ends, a draw not yet
+    started is cancelled and the pool's threads are joined before it
+    returns.
+    """
     params = config.init_params
     rows = []
     cum_evals = 0
     terminated = MAX_ITERATIONS
-    for k in range(config.max_iterations):
-        alpha_k = schedule.alpha_current
-        m_k = inner_budget(alpha_k)
-        n_k = config.n_candidates(k)
-        xs = sample(params, n_k, generator(substream(seed_seq, _CANDIDATE_REALM, k)))
-        cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k)
-        cum_evals += n_k * m_k
+    threads = _THREADS or _cpu_count()
+    pool = ThreadPoolExecutor(threads - 1) if threads > 1 else None
+    ahead = (_DrawAhead(pool, threads)
+             if pool is not None and isinstance(loss, BenchmarkLoss) else None)
+    try:
+        for k in range(config.max_iterations):
+            alpha_k = schedule.alpha_current
+            m_k = inner_budget(alpha_k)
+            n_k = config.n_candidates(k)
+            xs = sample(params, n_k, generator(substream(seed_seq, _CANDIDATE_REALM, k)))
+            drawn = ()
+            if ahead is not None:
+                drawn = ahead.take()
+                if k + 1 < config.max_iterations:
+                    ahead.start(seed_seq, k + 1, n_k, m_k)
+            cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k,
+                                     pool=pool, drawn=drawn)
+            cum_evals += n_k * m_k
 
-        next_params, grad_norm = _step(params, xs, cvars, k, config)
-        i_best = int(np.argmin(cvars))
-        # a copy: a view would keep the whole of xs alive
-        rows.append((k, alpha_k, grad_norm, cvars[i_best], cum_evals,
-                     params.mean, params.variance, xs[i_best].copy()))
-        params = next_params
-        schedule = update_risk_level(schedule, grad_norm)
-        if grad_norm <= config.grad_norm_stop:
-            terminated = GRAD_THRESHOLD
-            break
+            next_params, grad_norm = _step(params, xs, cvars, k, config)
+            i_best = int(np.argmin(cvars))
+            # a copy: a view would keep the whole of xs alive
+            rows.append((k, alpha_k, grad_norm, cvars[i_best], cum_evals,
+                         params.mean, params.variance, xs[i_best].copy()))
+            params = next_params
+            schedule = update_risk_level(schedule, grad_norm)
+            if grad_norm <= config.grad_norm_stop:
+                terminated = GRAD_THRESHOLD
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return np.array(rows, dtype=_trace_dtype(params.dim)).view(np.recarray), terminated
 
 

@@ -728,6 +728,152 @@ class TestChunkedNormals:
         assert buffer is not None and all(row.base is buffer for row in rows)
 
 
+# (start level, target level, effective size, candidate count schedule,
+# grad_norm_stop, iterations) of the draw-ahead cases
+DRAW_AHEAD_CASES = {
+    # m grows with the level from 200 draws: each next chunk continues the
+    # generator that drew ahead past the count it drew
+    "ramp_from_zero": (0.0, 0.99, 200, PowerGrowthSchedule(40, 0.0), 0.0, 10),
+    # 40 k candidates of 1,000 draws, 65 a chunk: one chunk, then two, then
+    # more chunks than were drawn ahead, each last one a prefix
+    "growing_count": (0.9, 0.9, 100, PowerGrowthSchedule(40, 1.0), 0.0, 6),
+    # 70,000 draws a candidate, a row larger than a draw-ahead buffer
+    "rows_beyond_a_buffer": (0.9, 0.9, 7000, PowerGrowthSchedule(3, 0.0), 0.0, 3),
+    # the first gradient norm stops the run with a draw-ahead pending
+    "stopped_by_grad_norm": (0.0, 0.95, 100, PowerGrowthSchedule(300, 0.0), 1e300, 10),
+}
+
+
+def run_case(loss, case, threads, monkeypatch, seed=13):
+    alpha0, target, eff, counts, stop, iterations = DRAW_AHEAD_CASES[case]
+    monkeypatch.setattr(engine, "_THREADS", threads)
+    config = small_config(dim=loss.dim, n_candidates=counts, grad_norm_stop=stop,
+                          max_iterations=iterations)
+    return run_gass_cvar_arl(config, loss, RiskSchedule.start(alpha0, target), eff, seed,
+                             final_eval_budget=100)
+
+
+def pool_spy(monkeypatch) -> list:
+    """The worker count of every thread pool the engine starts."""
+    pools = []
+
+    class SpyPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", SpyPool)
+    return pools
+
+
+class TestThreadedDrawAhead:
+    """On several threads a search run draws the standard normals of each
+    next iteration's first chunks on a pool thread while the calling thread
+    forms the current one; every output keeps its bytes, and no thread
+    outlives the run."""
+
+    @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
+    @pytest.mark.parametrize("case", DRAW_AHEAD_CASES)
+    def test_runs_match_one_thread_byte_for_byte(self, benchmark_id, case, monkeypatch):
+        loss = BenchmarkLoss(benchmark_id, 4)
+        runs = [run_case(loss, case, threads, monkeypatch) for threads in (1, 2, 3)]
+        records = runs[0].records
+        for run in runs[1:]:
+            assert run.records.tobytes() == records.tobytes()
+            assert run.record_values.tobytes() == runs[0].record_values.tobytes()
+            assert repr(run.final_best_cvar) == repr(runs[0].final_best_cvar)
+        # each case reaches the path it names
+        m = [inner_sample_size(a, DRAW_AHEAD_CASES[case][2]) for a in records.alpha]
+        n = [DRAW_AHEAD_CASES[case][3](k) for k in records.k]
+        chunks = [-(-n_k // engine._chunk_rows(m_k)) for n_k, m_k in zip(n, m)]
+        if case == "ramp_from_zero":
+            assert any(b > a for a, b in zip(m, m[1:]))
+        elif case == "growing_count":
+            assert chunks[0] == 1 and max(chunks) > 3
+        elif case == "rows_beyond_a_buffer":
+            assert min(m) > engine._CHUNK_DRAWS
+        else:
+            assert runs[0].terminated_by == GRAD_THRESHOLD and len(records) == 1
+
+    def test_same_bytes_under_fast_switches(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter
+        # allows: a chunk formed before its draw-ahead finished, or in a
+        # buffer the next draw already refills, shows in the records
+        loss = BenchmarkLoss("rastrigin", 4)
+        want = run_case(loss, "growing_count", 1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_case(loss, "growing_count", 5, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.records.tobytes() == want.records.tobytes()
+        assert got.record_values.tobytes() == want.record_values.tobytes()
+
+    def test_drawn_chunks_are_the_streams_next_normals(self):
+        # a chunk drawn ahead continues, or is a prefix of, its own stream
+        pool = ThreadPoolExecutor(1)
+        try:
+            ahead = engine._DrawAhead(pool, 2)
+            seq = as_seed_sequence(3)
+            ahead.start(seq, 5, 200, 600)
+            drawn = ahead.take()
+        finally:
+            pool.shutdown()
+        assert ahead.take() == []
+        rows = engine._chunk_rows(600)
+        assert [count for _, _, count in drawn] == [rows * 600] * 2
+        for c, (rng, buffer, count) in enumerate(drawn):
+            want = generator(substream(seq, engine._LOSS_REALM, 5, c)).standard_normal(count + 7)
+            assert buffer[:count].tobytes() == want[:count].tobytes()
+            assert rng.standard_normal(7).tobytes() == want[count:].tobytes()
+
+    def test_a_run_starts_one_pool(self, monkeypatch):
+        pools = pool_spy(monkeypatch)
+        run_case(BenchmarkLoss("l0", 4), "growing_count", 3, monkeypatch)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("case", DRAW_AHEAD_CASES)
+    def test_no_thread_outlives_a_run(self, case, monkeypatch):
+        before = threading.active_count()
+        run_case(BenchmarkLoss("levy", 4), case, 2, monkeypatch)
+        assert threading.active_count() == before
+
+    def test_an_error_mid_run_reaches_the_caller_after_the_threads_stop(self, monkeypatch):
+        # 40 candidates of at most 2,000 draws are one chunk, one reduction
+        # an iteration: the fourth call is iteration 3's, with iteration
+        # 4's draw-ahead pending
+        calls = []
+
+        def failing_cvar(losses, level, **kwargs):
+            calls.append(level)
+            if len(calls) == 4:
+                raise RuntimeError("iteration 3")
+            return empirical_cvar(losses, level, **kwargs)
+
+        monkeypatch.setattr(engine, "empirical_cvar", failing_cvar)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="iteration 3"):
+            run_case(BenchmarkLoss("l0", 4), "ramp_from_zero", 2, monkeypatch)
+        assert len(calls) == 4
+        assert threading.active_count() == before
+
+    # _THREADS = 1, or no cap on a process that may run on one CPU
+    @pytest.mark.parametrize("threads", [1, None])
+    def test_one_cpu_starts_no_pool(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        pools = pool_spy(monkeypatch)
+        before = threading.active_count()
+        # 70,000 draws a candidate: past the break-even in the search
+        run_case(BenchmarkLoss("l0", 4), "rows_beyond_a_buffer", threads, monkeypatch)
+        # a re-evaluation of five chunks at the break-even
+        xs = np.zeros((5 * engine._chunk_rows(engine._THREAD_MIN_DRAWS), 4))
+        evaluate_candidates(BenchmarkLoss("l0", 4), xs, 0.9, engine._THREAD_MIN_DRAWS, 1)
+        assert pools == []
+        assert threading.active_count() == before
+
+
 class TestFixedLevelRun:
     LOSS = BenchmarkLoss("l0", 2)
 
