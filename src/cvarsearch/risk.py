@@ -1,13 +1,14 @@
-"""Empirical value-at-risk and conditional value-at-risk of loss samples.
+"""Empirical conditional value-at-risk of loss samples.
 
 Conventions used throughout the package:
 
-* losses are "bigger is worse"; VaR/CVaR look at the upper tail;
+* losses are "bigger is worse"; CVaR looks at the upper tail;
 * the level alpha lies in [0, 1); alpha = 0 degenerates to the plain mean;
-* the empirical VaR at level alpha of M samples is the j-th ascending
-  order statistic with j = max(1, ceil(alpha * M)).  The clamp at 1 makes
-  the alpha = 0 case well defined (the sample minimum) and, through the
-  averaged-excess form below, makes the alpha = 0 CVaR the sample mean.
+* the empirical VaR at level alpha of M samples, the order statistic
+  inside ``empirical_cvar``, is the j-th ascending one with
+  j = max(1, ceil(alpha * M)).  The clamp at 1 makes the alpha = 0 case
+  well defined (the sample minimum) and, through the averaged-excess form
+  below, makes the alpha = 0 CVaR the sample mean.
 
 Functions accept a single sample set of shape (M,) or a batch of shape
 (n, M) reduced along the last axis.
@@ -20,7 +21,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["empirical_var", "empirical_cvar", "gaussian_cvar_oracle"]
+__all__ = ["empirical_cvar", "gaussian_cvar_oracle"]
 
 # Cephes ndtri, the inverse standard normal CDF that scipy.special.ndtri
 # evaluates, coefficients highest degree first.  Near the median it is
@@ -146,20 +147,13 @@ def _partition(arr: np.ndarray, alpha: float,
     # already checked input partitioned along the last axis about its
     # max(1, ceil(alpha M))-th ascending order statistic, in place when
     # overwrite_input allows it and into a copy otherwise, and that
-    # statistic's index
+    # statistic's index: the VaR of empirical_cvar and the threshold of
+    # shaping.sample_quantile_threshold
     k = max(1, math.ceil(alpha * arr.shape[-1])) - 1
     if not overwrite_input:
         return np.partition(arr, k, axis=-1), k
     arr.partition(k, axis=-1)
     return arr, k
-
-
-def empirical_var(losses, alpha: float):
-    """Empirical VaR: the max(1, ceil(alpha M))-th ascending order statistic."""
-    arr = _check_array(losses, "losses", (1, 2))
-    part, k = _partition(arr, _check_alpha(alpha))
-    out = part[..., k]
-    return float(out) if arr.ndim == 1 else out
 
 
 def empirical_cvar(losses, alpha: float, *, overwrite_input: bool = False):

@@ -34,7 +34,7 @@ from cvarsearch.harness import (
     load_config,
     run_experiment,
 )
-from cvarsearch.risk import empirical_cvar, empirical_var, gaussian_cvar_oracle
+from cvarsearch.risk import empirical_cvar, gaussian_cvar_oracle
 from cvarsearch.schedule import RiskSchedule, inner_sample_size, update_risk_level
 from cvarsearch.shaping import sample_quantile_threshold, shape, ShapeConfig
 
@@ -67,9 +67,10 @@ def test_criterion_1_estimator_correctness():
     for seed in range(seeds):
         draws = np.random.default_rng(seed).standard_normal(100_000)
         assert empirical_cvar(draws, 0.0) == draws.mean()
+        ascending = np.sort(draws)
         for alpha, tol in levels:
             est = empirical_cvar(draws, alpha)
-            assert est >= empirical_var(draws, alpha)
+            assert est >= ascending[max(1, math.ceil(alpha * draws.size)) - 1]
             if abs(est - gaussian_cvar_oracle(0.0, 1.0, alpha)) <= tol:
                 hits[alpha] += 1
     ok = all(count >= 95 for count in hits.values())
@@ -85,8 +86,9 @@ def test_criterion_2_formula_fixtures():
     def close(label, got, want, rel):
         checks.append((label, bool(abs(got - want) <= rel * abs(want)), got, want))
 
-    exact("var order statistic", empirical_var(np.array([3.0, 1.0, 2.0]), 0.5), 2.0)
-    exact("var j-th order statistic", empirical_var(np.arange(1.0, 11.0), 0.8), 8.0)
+    # the VaR is the threshold at rho = 1 - alpha; 1 - 0.2 == 0.8 exactly
+    exact("var order statistic", sample_quantile_threshold(np.array([3.0, 1.0, 2.0]), 0.5), 2.0)
+    exact("var j-th order statistic", sample_quantile_threshold(np.arange(1.0, 11.0), 0.2), 8.0)
     exact("cvar tail mean", empirical_cvar(np.arange(1.0, 11.0), 0.8), 9.5)
     exact("cvar risk neutral", empirical_cvar(np.arange(1.0, 11.0), 0.0), 5.5)
     exact("cvar constant", empirical_cvar(np.full(7, 2.5), 0.9), 2.5)

@@ -29,7 +29,7 @@ from cvarsearch.engine import (
     run_gass_cvar_arl,
     sample_variance_matrix,
 )
-from cvarsearch.risk import empirical_cvar, empirical_var, gaussian_cvar_oracle
+from cvarsearch.risk import empirical_cvar, gaussian_cvar_oracle
 from cvarsearch.sampling import (
     ProjectionBox,
     SamplingParams,
@@ -1082,8 +1082,6 @@ class TestFiniteInputs:
                                   lambda v: sufficient_statistics([[0.0, 1.0], [v, 2.0]])),
         "empirical_cvar": ("losses must be finite", None,
                            lambda v: empirical_cvar([[0.0, 1.0], [2.0, v]], 0.5)),
-        "empirical_var": ("losses must be finite", None,
-                          lambda v: empirical_var([0.0, v, 1.0], 0.5)),
         "threshold_scores": ("scores must be finite", None,
                              lambda v: sample_quantile_threshold([1.0, v, 2.0], 0.5)),
         "shape_score": ("score must be finite", None,

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from cvarsearch.risk import empirical_var
 from cvarsearch.shaping import ShapeConfig, _logistic, sample_quantile_threshold, shape
 
 
@@ -38,17 +37,6 @@ class TestThreshold:
         # dual route: full sort here versus partial selection inside
         j = max(1, math.ceil((1.0 - rho) * len(x)))
         assert gamma == np.sort(x)[j - 1]
-
-    @given(
-        scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
-                        max_size=50),
-        rho=st.floats(0.0, 1.0, exclude_min=True).filter(lambda r: 1.0 - r < 1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_is_empirical_var_at_one_minus_rho(self, scores, rho):
-        x = np.asarray(scores)
-        got = sample_quantile_threshold(x, rho)
-        assert got.hex() == empirical_var(x, 1.0 - rho).hex()
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""The CI workflow's commands name what the repository has: each pytest
-command's test paths exist, each term of its ``-k`` expression selects a
-test in the files it filters, and each Python heredoc compiles."""
+"""The CI workflow names what the repository has: each pytest command's
+test paths exist, each term of its ``-k`` expression selects a test in the
+files it filters, each Python heredoc compiles, and each test class or
+method its comments cite is defined under ``tests/``."""
 
 import ast
 import re
@@ -14,6 +15,8 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 # pytest options that take a value as the next argument
 VALUE_OPTIONS = {"-k", "-m", "-p", "-c"}
 HEREDOC = re.compile(r"""python"?\s+-\s.*<<'(\w+)'$""")
+# a test class, or a class and one of its methods, as pytest names them
+CITED = re.compile(r"\b(Test\w+)(?:::(test_\w+))?")
 
 
 def run_scripts():
@@ -47,6 +50,17 @@ def names_of_tests(path: Path) -> set[str]:
     return {node.name for node in ast.walk(tree)
             if isinstance(node, (ast.ClassDef, ast.FunctionDef))
             and node.name.lower().startswith("test")}
+
+
+def classes_of_tests() -> dict[str, set[str]]:
+    """The method names of every test class under tests/, by class name."""
+    classes = {}
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+                classes.setdefault(node.name, set()).update(
+                    item.name for item in node.body if isinstance(item, ast.FunctionDef))
+    return classes
 
 
 def test_pytest_paths_exist():
@@ -85,3 +99,14 @@ def test_python_heredocs_compile():
     assert bodies
     for i, body in enumerate(bodies):
         compile(body, f"{WORKFLOW.name} heredoc {i}", "exec")
+
+
+def test_cited_tests_exist():
+    # the comments name the tests a job or step is there for; PyYAML drops
+    # comments, so the raw text is scanned
+    cited = CITED.findall(WORKFLOW.read_text(encoding="utf-8"))
+    assert cited
+    classes = classes_of_tests()
+    unknown = [f"{cls}::{method}" if method else cls for cls, method in cited
+               if cls not in classes or method and method not in classes[cls]]
+    assert unknown == []
