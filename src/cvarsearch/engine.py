@@ -105,11 +105,14 @@ down before the run returns, however it ends; ``evaluate_candidates``
 starts one per call where it needs one.  The pool serves two kinds of
 work:
 
-- from ``_THREAD_MIN_DRAWS`` draws per candidate, the threads of an
-  evaluation, at most one per chunk, claim its chunks one at a time from
-  one shared iterator until none is left, so a thread that starts late
-  claims fewer; below it, the threads would wait on each other for the
-  interpreter lock in the per-candidate ``simulate`` calls;
+- at every m, the threads of an evaluation, at most one per chunk, claim
+  its chunks one at a time from one shared iterator until none is left,
+  so a thread that starts late claims fewer, and a pool task not yet
+  started when the calling thread finds none left is cancelled, not
+  waited for.  The pool runs tasks in the order they were queued, and a
+  search queues the next iteration's draw-ahead (below) before its
+  claims, so a pool thread joins an evaluation only when the draw-ahead
+  leaves it idle;
 - for a ``BenchmarkLoss``, while iteration k is formed, a pool task draws
   the standard normals of iteration k + 1's first chunks (``_DrawAhead``).
   Chunk c's stream is keyed by (k + 1, c) alone, whatever M_{k+1} turns
@@ -169,19 +172,6 @@ _CANDIDATE_REALM = 0
 _LOSS_REALM = 1
 _FINAL_REALM = 2
 
-# draws per candidate from which an evaluation runs on several threads.
-# On a 2-vCPU host, with the threads a pool that outlives the calls (1,000
-# l0 candidates at D = 10 and alpha 0.95, each chunk one standard_normal
-# fill, best of 7 calls per round, three runs of two sets of 5 rounds),
-# 2 threads claiming chunks beat 1 in 9, 9 and 10 of 10 rounds at 400
-# draws, 8, 7 and 10 at 600, and 10 of 10 in every run at 1,000, 1,500 and
-# 2,000.  With desk's 200 candidates at D = 2 they beat 1 in 1, 1 and 6 of
-# 10 at 600 and 10 of 10 at 1,000 and 1,500.  In a search of desk's size,
-# 40 iterations whose next normals a pool thread draws ahead, claims beat
-# the draw-ahead alone in 1 of 10 runs at 600 draws (median time x1.18),
-# 3 of 10 at 1,000 (x1.05), 10 of 10 at 1,500 (x0.90) and 9 of 10 at
-# 2,000 (x0.80): the break-even of a search stays at 1,500.
-_THREAD_MIN_DRAWS = 1500
 # threads of a search run or evaluation; None is every CPU the process may
 # run on
 _THREADS: int | None = None
@@ -212,13 +202,13 @@ class LossModel(Protocol):
     must not keep it.  If the number of draws a loss takes depends on x, a
     candidate's value depends on the earlier candidates of its chunk.
 
-    From ``_THREAD_MIN_DRAWS`` draws per candidate, ``simulate`` may run on
-    several threads at once, each with its own chunks' generators, so a loss
-    must not change shared state without its own lock.  It should draw its
-    m simulations in one NumPy call where it can: a NumPy call releases the
-    interpreter lock only for its own pass, and several short passes per
-    candidate leave the threads of an evaluation waiting on each other for
-    the lock.
+    At every m, ``simulate`` may run on several threads at once whenever an
+    evaluation has more than one chunk, each thread with its own chunks'
+    generators, so a loss must not change shared state without its own
+    lock.  It should draw its m simulations in one NumPy call where it can:
+    a NumPy call releases the interpreter lock only for its own pass, and
+    several short passes per candidate leave the threads of an evaluation
+    waiting on each other for the lock.
 
     A ``BenchmarkLoss`` is not called this way: the engine draws its whole
     chunk's standard normals in one call and passes each candidate's row
@@ -399,13 +389,13 @@ class _DrawAhead:
 
     def start(self, seq: np.random.SeedSequence, k: int, n: int, m: int):
         """Start iteration k's draws from iteration k - 1's sizes n and m:
-        the first min(C, n) * m standard normals, at most a buffer, of
-        chunk stream (_LOSS_REALM, k, c) for each c < min(chunks, threads),
-        where C is ``_chunk_rows(m)``."""
-        rows = min(_chunk_rows(m), n)
-        count = min(rows * m, _CHUNK_DRAWS)
+        for each chunk c < min(chunks, threads), the standard normals of the
+        min(C, n - c * C) rows it held, at most a buffer, of chunk stream
+        (_LOSS_REALM, k, c), where C is ``_chunk_rows(m)``."""
+        rows = _chunk_rows(m)
 
         def draw(c, buffer):
+            count = min(min(rows, n - c * rows) * m, _CHUNK_DRAWS)
             rng = generator(substream(seq, _LOSS_REALM, k, c))
             rng.standard_normal(out=buffer[:count])
             return rng, buffer, count
@@ -447,11 +437,13 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     own buffer first.  Successive draws from one generator equal one
     draw, so every value keeps its bits.
 
-    From ``_THREAD_MIN_DRAWS`` draws every thread, the calling one included,
-    takes the next unclaimed chunk from one shared range iterator, whose
-    ``next`` holds the interpreter lock, until none is left.  The other
-    threads are tasks on ``pool``, the search run's, or else on a pool
-    started for this call.  A thread that fails takes every chunk still
+    Up to min(chunks, CPUs) threads, the calling one included, each take
+    the next unclaimed chunk from one shared range iterator, whose ``next``
+    holds the interpreter lock, until none is left.  The other threads are
+    tasks on ``pool``, the search run's, or else on a pool started for this
+    call.  Once the calling thread finds no chunk left, it cancels each
+    task the pool has not started, which would find none either, and waits
+    for the ones running.  A thread that fails takes every chunk still
     unclaimed, so the others stop after their current chunk.  The calling
     thread's error, else the first failed pool task's, reaches the caller
     once every thread has stopped.
@@ -459,7 +451,7 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     n = len(xs)
     chunk = _chunk_rows(m)
     chunks = -(-n // chunk)
-    threads = min(chunks, _THREADS or _cpu_count()) if m >= _THREAD_MIN_DRAWS else 1
+    threads = min(chunks, _THREADS or _cpu_count())
     out = np.empty(n)
     todo = iter(range(chunks))
     fused = isinstance(loss, BenchmarkLoss)
@@ -508,13 +500,16 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     # a call outside a search run starts its own pool, so that no thread
     # outlives it (a process pool forks)
     with nullcontext(pool) if pool is not None else ThreadPoolExecutor(threads - 1) as workers:
-        rest = [workers.submit(fill) for _ in range(threads - 1)]
+        claims = [workers.submit(fill) for _ in range(threads - 1)]
         try:
             fill()
         finally:
-            wait(rest)
-        for future in rest:
-            future.result()
+            # wait() would block on a cancelled claim until a worker
+            # dequeued it, so only the started ones are waited for
+            started = [claim for claim in claims if not claim.cancel()]
+            wait(started)
+        for claim in started:
+            claim.result()
     return out
 
 

@@ -483,21 +483,23 @@ class ShortAtLoss:
         return self.inner.simulate(x, m, rng)
 
 
-# (n, m): one partial chunk below the thread break-even (218 candidates per
-# chunk); seven whole chunks and a partial eighth above it (26 per chunk);
-# three whole chunks and a partial fourth at it (43 per chunk)
+# (n, m): one partial chunk, which one thread evaluates (218 candidates per
+# chunk); seven whole chunks and a partial eighth (26 per chunk); three
+# whole chunks and a partial fourth (43 per chunk)
 CHUNK_CASES = [(197, 300), (197, 2500), (3 * engine._chunk_rows(1500) + 5, 1500)]
 
 # (n, m): the edge cases; one chunk of two candidates; one chunk of seven
-# at 1,999 and 2,000 draws; seven chunks of 32; five chunks of 43 just
-# below and at the break-even; and the chunk cases
+# at 1,999 and 2,000 draws; seven chunks of 32; two chunks, of 109 and 91,
+# at desk's 600 draws; five chunks of 43 at 1,499 and 1,500 draws; and the
+# chunk cases
 THREAD_CASES = EDGE_CASES + [
     (2, 5000),
     (7, 1999),
     (7, 2000),
     (200, 2000),
-    (200, engine._THREAD_MIN_DRAWS - 1),
-    (200, engine._THREAD_MIN_DRAWS),
+    (200, 600),
+    (200, 1499),
+    (200, 1500),
 ] + CHUNK_CASES
 
 
@@ -524,10 +526,10 @@ def record_claims(monkeypatch):
 def assert_claimed_once(claims, n, m, threads):
     """Each chunk's stream was built exactly once, by at most
     min(threads, chunks) threads, and a pool was started for the threads
-    beyond the calling one only from the break-even on."""
+    beyond the calling one only when there are any."""
     built, pools = claims
     chunks = -(-n // engine._chunk_rows(m))
-    threads = min(threads, chunks) if m >= engine._THREAD_MIN_DRAWS else 1
+    threads = min(threads, chunks)
     assert sorted(c for c, _ in built) == list(range(chunks))
     assert len({thread for _, thread in built}) <= threads
     assert pools == ([threads - 1] if threads > 1 else [])
@@ -551,15 +553,16 @@ class TestThreadedEvaluation:
     def test_thread_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         claims = record_claims(monkeypatch)
-        m = engine._THREAD_MIN_DRAWS
+        m = 600
         n = 4 * engine._chunk_rows(m)
         xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(n, 2))
         evaluate_candidates(self.LOSS, xs, 0.9, m, 11)
         assert_claimed_once(claims, n, m, 3)
 
     def test_late_pool_threads_leave_every_chunk_to_the_caller(self, monkeypatch):
-        # the pool's tasks wait until the calling thread asks for their
-        # results, which it does once its own share of the work is done
+        # the pool's tasks start at once, then wait until the calling thread
+        # tries to cancel them, which it does once it finds no chunk left;
+        # started, they are waited for, and find none either
         monkeypatch.setattr(engine, "_THREADS", 3)
         claims = record_claims(monkeypatch)
         released = threading.Event()
@@ -571,17 +574,17 @@ class TestThreadedEvaluation:
                     return fn()
 
                 future = super().submit(late)
-                result = future.result
+                cancel = future.cancel
 
-                def release_then_result(*a, **kw):
+                def release_then_cancel():
                     released.set()
-                    return result(*a, **kw)
+                    return cancel()
 
-                future.result = release_then_result
+                future.cancel = release_then_cancel
                 return future
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", LatePool)
-        m = engine._THREAD_MIN_DRAWS
+        m = 600
         n = 4 * engine._chunk_rows(m) + 3
         xs = np.random.default_rng(7).uniform(-2.0, 2.0, size=(n, 2))
         got = evaluate_candidates(self.LOSS, xs, 0.95, m, 11)
@@ -589,11 +592,34 @@ class TestThreadedEvaluation:
         assert_claimed_once(claims, n, m, 3)
         assert {thread for _, thread in claims[0]} == {threading.get_ident()}
 
+    def test_a_busy_pool_is_not_waited_for(self, monkeypatch):
+        # the pool's one worker is held until a timer fires, so the claim
+        # task queued behind it has not started when the calling thread has
+        # taken every chunk: the call cancels it and returns at once
+        monkeypatch.setattr(engine, "_THREADS", 2)
+        released = threading.Event()
+        timer = threading.Timer(3.0, released.set)
+        pool = ThreadPoolExecutor(1)
+        m = 2000
+        n = 3 * engine._chunk_rows(m)
+        xs = np.random.default_rng(4).uniform(-2.0, 2.0, size=(n, 2))
+        seq = as_seed_sequence(11)
+        try:
+            pool.submit(released.wait)
+            timer.start()
+            got = engine._candidate_cvars(self.LOSS, xs, 0.95, m, seq, pool=pool)
+            assert not released.is_set()
+        finally:
+            timer.cancel()
+            released.set()
+            pool.shutdown()
+        assert np.array_equal(got, _one_at_a_time(self.LOSS, xs, 0.95, m, seq))
+
     def test_each_chunk_claimed_once_under_fast_switches(self, monkeypatch):
         # more threads than CPUs, switching as often as the interpreter
         # allows: a chunk claimed twice, or never, shows in the streams built
         monkeypatch.setattr(engine, "_THREADS", 5)
-        m = engine._THREAD_MIN_DRAWS
+        m = 600
         n = 40 * engine._chunk_rows(m) + 1
         claims = record_claims(monkeypatch)
         xs = np.random.default_rng(9).uniform(-2.0, 2.0, size=(n, 2))
@@ -607,11 +633,11 @@ class TestThreadedEvaluation:
         assert_claimed_once(claims, n, m, 5)
 
     # the first candidate, and the first of the second chunk
-    @pytest.mark.parametrize("bad", [0, engine._chunk_rows(engine._THREAD_MIN_DRAWS)],
+    @pytest.mark.parametrize("bad", [0, engine._chunk_rows(600)],
                              ids=["first_chunk", "second_chunk"])
     def test_short_draws_reach_the_caller(self, bad, monkeypatch):
         monkeypatch.setattr(engine, "_THREADS", 2)
-        m = engine._THREAD_MIN_DRAWS
+        m = 600
         xs = np.arange(4.0 * engine._chunk_rows(m)).reshape(-1, 2)
         loss = ShortAtLoss(2, short_at=xs[bad, 0])
         before = threading.active_count()
@@ -689,8 +715,9 @@ class TestChunkedNormals:
 
     @pytest.mark.parametrize("benchmark_id", BENCHMARK_IDS)
     @pytest.mark.parametrize("dim", [4, 10])
-    # an evaluation below _THREAD_MIN_DRAWS runs on one thread whatever the cap
-    @pytest.mark.parametrize("m,threads", [(30, 1), (600, 1), (5000, 1), (5000, 2),
+    # at m = 30 the candidates are one chunk, which one thread evaluates
+    # whatever the cap; from 600 draws, one thread or two claim the chunks
+    @pytest.mark.parametrize("m,threads", [(30, 1), (600, 1), (600, 2), (5000, 1), (5000, 2),
                                            (70_000, 1), (70_000, 2)])
     def test_fused_estimates_match_the_general_path(self, benchmark_id, dim, m, threads,
                                                     monkeypatch):
@@ -709,23 +736,28 @@ class TestChunkedNormals:
                     == evaluate_candidates(general, xs, alpha, m, 31).tobytes())
 
     def test_each_row_is_formed_in_the_chunk_buffer(self, monkeypatch):
-        # one simulate call per candidate, each given its row of one buffer
-        rows = []
+        # one simulate call per candidate, each given its row of its chunk's
+        # buffer, whichever thread formed the chunk
+        rows = {}
         simulate = BenchmarkLoss.simulate
 
         def recording(self, x, m, rng, normals=None):
-            rows.append(normals)
+            rows[float(x[0])] = normals
             return simulate(self, x, m, rng, normals=normals)
 
         monkeypatch.setattr(BenchmarkLoss, "simulate", recording)
         m = 600
-        n = engine._chunk_rows(m) + 3
+        chunk = engine._chunk_rows(m)
+        n = chunk + 3
         xs = np.random.default_rng(2).uniform(-2.0, 2.0, size=(n, 2))
         evaluate_candidates(BenchmarkLoss("l0", 2), xs, 0.9, m, 7)
         assert len(rows) == n
-        assert all(row is not None and row.shape == (m,) for row in rows)
-        buffer = rows[0].base
-        assert buffer is not None and all(row.base is buffer for row in rows)
+        ordered = [rows[float(x)] for x in xs[:, 0]]
+        assert all(row is not None and row.shape == (m,) for row in ordered)
+        for lo in range(0, n, chunk):
+            buffer = ordered[lo].base
+            assert buffer is not None
+            assert all(row.base is buffer for row in ordered[lo:lo + chunk])
 
 
 # (start level, target level, effective size, candidate count schedule,
@@ -821,8 +853,8 @@ class TestThreadedDrawAhead:
         finally:
             pool.shutdown()
         assert ahead.take() == []
-        rows = engine._chunk_rows(600)
-        assert [count for _, _, count in drawn] == [rows * 600] * 2
+        # each chunk as many rows as it holds: 109 and the other 91
+        assert [count for _, _, count in drawn] == [65_400, 54_600]
         for c, (rng, buffer, count) in enumerate(drawn):
             want = generator(substream(seq, engine._LOSS_REALM, 5, c)).standard_normal(count + 7)
             assert buffer[:count].tobytes() == want[:count].tobytes()
@@ -865,11 +897,11 @@ class TestThreadedDrawAhead:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         pools = pool_spy(monkeypatch)
         before = threading.active_count()
-        # 70,000 draws a candidate: past the break-even in the search
+        # a search of three chunks of 70,000 draws, each a candidate
         run_case(BenchmarkLoss("l0", 4), "rows_beyond_a_buffer", threads, monkeypatch)
-        # a re-evaluation of five chunks at the break-even
-        xs = np.zeros((5 * engine._chunk_rows(engine._THREAD_MIN_DRAWS), 4))
-        evaluate_candidates(BenchmarkLoss("l0", 4), xs, 0.9, engine._THREAD_MIN_DRAWS, 1)
+        # a re-evaluation of five chunks at desk's 600 draws
+        xs = np.zeros((5 * engine._chunk_rows(600), 4))
+        evaluate_candidates(BenchmarkLoss("l0", 4), xs, 0.9, 600, 1)
         assert pools == []
         assert threading.active_count() == before
 
