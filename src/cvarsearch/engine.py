@@ -113,11 +113,13 @@ work:
   search queues the next iteration's draw-ahead (below) before its
   claims, so a pool thread joins an evaluation only when the draw-ahead
   leaves it idle;
-- for a ``BenchmarkLoss``, while iteration k is formed, a pool task draws
-  the standard normals of iteration k + 1's first chunks (``_DrawAhead``).
-  Chunk c's stream is keyed by (k + 1, c) alone, whatever M_{k+1} turns
-  out to be, and the draw releases the interpreter lock, so it overlaps
-  the calling thread's forming, reduction and step.
+- for a ``BenchmarkLoss``, while iteration k is formed, pool tasks draw
+  the standard normals of iteration k + 1's first chunks (``_draw_ahead``)
+  into one of the search loop's two buffer sets, and the loop takes their
+  results before it evaluates k + 1.  Chunk c's stream is keyed by
+  (k + 1, c) alone, whatever M_{k+1} turns out to be, and the draw
+  releases the interpreter lock, so it overlaps the calling thread's
+  forming, reduction and step.
 
 A chunk is never split between threads, and a drawn-ahead chunk is
 continued from the generator that drew it, so no value depends on the
@@ -371,44 +373,25 @@ def _chunk_rows(m: int) -> int:
     return max(1, _CHUNK_DRAWS // m)
 
 
-class _DrawAhead:
-    """The standard normals of a search iteration's first chunks, drawn on
-    the run's pool while the calling thread forms the previous iteration.
+def _draw_ahead(pool: ThreadPoolExecutor, buffers: np.ndarray,
+                seq: np.random.SeedSequence, k: int, n: int, m: int) -> list:
+    """Start iteration k's draws from iteration k - 1's sizes n and m: for
+    each chunk c < min(chunks, len(buffers)), a pool task draws the standard
+    normals of the min(C, n - c * C) rows it held, at most a buffer, of
+    chunk stream (_LOSS_REALM, k, c) into ``buffers[c]``, where C is
+    ``_chunk_rows(m)``.  Returns one future per chunk, whose result is
+    (generator, buffer, count drawn); as each chunk is its own task, on
+    many CPUs they run side by side."""
+    rows = _chunk_rows(m)
 
-    Two sets of one ``_CHUNK_DRAWS`` buffer per thread are allocated once,
-    on the calling thread, and alternate between iterations: iteration k
-    takes the set drawn for it while the next iteration's draws fill the
-    other.  Each chunk is its own task, so on many CPUs they run side by
-    side.
-    """
+    def draw(c, buffer):
+        count = min(min(rows, n - c * rows) * m, _CHUNK_DRAWS)
+        rng = generator(substream(seq, _LOSS_REALM, k, c))
+        rng.standard_normal(out=buffer[:count])
+        return rng, buffer, count
 
-    def __init__(self, pool: ThreadPoolExecutor, threads: int):
-        self._pool = pool
-        self._sets = np.empty((2, threads, _CHUNK_DRAWS))
-        self._pending = []
-
-    def start(self, seq: np.random.SeedSequence, k: int, n: int, m: int):
-        """Start iteration k's draws from iteration k - 1's sizes n and m:
-        for each chunk c < min(chunks, threads), the standard normals of the
-        min(C, n - c * C) rows it held, at most a buffer, of chunk stream
-        (_LOSS_REALM, k, c), where C is ``_chunk_rows(m)``."""
-        rows = _chunk_rows(m)
-
-        def draw(c, buffer):
-            count = min(min(rows, n - c * rows) * m, _CHUNK_DRAWS)
-            rng = generator(substream(seq, _LOSS_REALM, k, c))
-            rng.standard_normal(out=buffer[:count])
-            return rng, buffer, count
-
-        # slicing caps the chunks at one buffer per thread
-        self._pending = [self._pool.submit(draw, c, buffer)
-                         for c, buffer in enumerate(self._sets[k % 2, :-(-n // rows)])]
-
-    def take(self) -> list:
-        """The pending draws' (generator, buffer, count drawn), one per
-        chunk, once they are done; empty when none is pending."""
-        pending, self._pending = self._pending, []
-        return [future.result() for future in pending]
+    # slicing caps the chunks at one buffer per thread
+    return [pool.submit(draw, c, buffer) for c, buffer in enumerate(buffers[:-(-n // rows)])]
 
 
 def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
@@ -429,12 +412,12 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     order and the same formula, so the same bits.
 
     ``drawn`` holds, for a ``BenchmarkLoss``'s first chunks, the
-    (generator, buffer, count) that ``_DrawAhead`` drew: chunk c's stream
-    with its first count normals already in the buffer.  The chunk is
-    formed in that buffer, from a prefix of it when it needs fewer, after
-    the same generator draws the rest when it needs more; a candidate
-    larger than the buffer gets the drawn normals copied into its thread's
-    own buffer first.  Successive draws from one generator equal one
+    (generator, buffer, count) that ``_draw_ahead`` drew into one of the
+    search loop's buffer sets: chunk c's stream with its first count
+    normals already in the buffer.  The chunk is formed in that buffer,
+    from a prefix of it when it needs fewer, after the same generator draws
+    the rest when it needs more; a candidate larger than the buffer gets
+    the drawn normals copied into its thread's own buffer first.  Successive draws from one generator equal one
     draw, so every value keeps its bits.
 
     Up to min(chunks, CPUs) threads, the calling one included, each take
@@ -550,9 +533,12 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
 
     On several CPUs the run owns one thread pool, for the chunk claims of
     its evaluations and, with a ``BenchmarkLoss``, the draw-ahead of each
-    next iteration's normals.  However the run ends, a draw not yet
-    started is cancelled and the pool's threads are joined before it
-    returns.
+    next iteration's normals.  For that the loop allocates two sets of one
+    ``_CHUNK_DRAWS`` buffer per thread and holds the pending draws: it
+    takes iteration k's before it evaluates k, and before the evaluation's
+    claims it starts k + 1's into set (k + 1) % 2, unless k is the last
+    iteration.  However the run ends, a draw not yet started is cancelled
+    and the pool's threads are joined before it returns.
     """
     params = config.init_params
     rows = []
@@ -560,19 +546,18 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
     terminated = MAX_ITERATIONS
     threads = _THREADS or _cpu_count()
     pool = ThreadPoolExecutor(threads - 1) if threads > 1 else None
-    ahead = (_DrawAhead(pool, threads)
-             if pool is not None and isinstance(loss, BenchmarkLoss) else None)
+    buffers = (np.empty((2, threads, _CHUNK_DRAWS))
+               if pool is not None and isinstance(loss, BenchmarkLoss) else None)
+    pending = []
     try:
         for k in range(config.max_iterations):
             alpha_k = schedule.alpha_current
             m_k = inner_budget(alpha_k)
             n_k = config.n_candidates(k)
             xs = sample(params, n_k, generator(substream(seed_seq, _CANDIDATE_REALM, k)))
-            drawn = ()
-            if ahead is not None:
-                drawn = ahead.take()
-                if k + 1 < config.max_iterations:
-                    ahead.start(seed_seq, k + 1, n_k, m_k)
+            drawn = [future.result() for future in pending]
+            if buffers is not None and k + 1 < config.max_iterations:
+                pending = _draw_ahead(pool, buffers[(k + 1) % 2], seed_seq, k + 1, n_k, m_k)
             cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k,
                                      pool=pool, drawn=drawn)
             cum_evals += n_k * m_k

@@ -107,6 +107,37 @@ def test_run_replication_override(tmp_path, capsys):
     assert capsys.readouterr().out.count("rep=") == 1
 
 
+def test_run_seed_override(tmp_path, capsys, inline_pools):
+    # --seed 9 runs what master_seed: 9 in the file runs, not the file's 5
+    names = ("iterations.csv", "curve.csv", "alpha.csv", "summary.json")
+    config = write_config(tmp_path)
+    seeded = tmp_path / "seeded.yaml"
+    seeded.write_text(yaml.safe_dump({**RUN_KEYS, "master_seed": 9}, sort_keys=False))
+    runs = {"flag": [str(config), "--seed", "9"], "file": [str(seeded)], "five": [str(config)]}
+    files = {}
+    for label, args in runs.items():
+        out_dir = tmp_path / label
+        assert main(["run", *args, "--out", str(out_dir)]) == 0
+        files[label] = [(out_dir / name).read_bytes() for name in names]
+    assert files["flag"] == files["file"]
+    assert files["flag"][0] != files["five"][0]
+
+
+def test_run_config_not_yaml_is_exit_2(tmp_path, capsys, monkeypatch):
+    calls = count_simulate(monkeypatch)
+    path = tmp_path / "broken.yaml"
+    path.write_text("benchmark: [l0\n")
+    with pytest.raises(harness.ConfigError) as err:
+        harness.load_config(path)
+    assert str(err.value).startswith(f"config file {path}: not valid YAML (")
+    out_dir = tmp_path / "out"
+    for command in ("run", "reference"):
+        assert main([command, str(path), "--out", str(out_dir)]) == 2
+        assert f"error: config file {path}: not valid YAML" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert calls == []
+
+
 def test_run_bad_config(tmp_path, capsys):
     config = write_config(tmp_path, alpha_star=2.0)
     assert main(["run", str(config)]) == 2

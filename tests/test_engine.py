@@ -844,15 +844,14 @@ class TestThreadedDrawAhead:
 
     def test_drawn_chunks_are_the_streams_next_normals(self):
         # a chunk drawn ahead continues, or is a prefix of, its own stream
+        seq = as_seed_sequence(3)
+        buffers = np.empty((2, engine._CHUNK_DRAWS))
         pool = ThreadPoolExecutor(1)
         try:
-            ahead = engine._DrawAhead(pool, 2)
-            seq = as_seed_sequence(3)
-            ahead.start(seq, 5, 200, 600)
-            drawn = ahead.take()
+            drawn = [future.result()
+                     for future in engine._draw_ahead(pool, buffers, seq, 5, 200, 600)]
         finally:
             pool.shutdown()
-        assert ahead.take() == []
         # each chunk as many rows as it holds: 109 and the other 91
         assert [count for _, _, count in drawn] == [65_400, 54_600]
         for c, (rng, buffer, count) in enumerate(drawn):
