@@ -21,7 +21,6 @@ import sys
 
 from . import harness
 from .benchmarks import BENCHMARK_IDS, BenchmarkLoss, l0_min_cvar_oracle
-from .engine import _cpu_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,9 +71,7 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, **overrides)
     _make_out_dir(args.out)
     reference = harness.emit_reference_run(config, cache_dir=args.out)
-    # one process per CPU the run may use, at most one per replication
-    result = harness.run_experiment(config, workers=_cpu_count(),
-                                    reference_value=reference)
+    result = harness.run_experiment(config, reference_value=reference)
     paths = harness.emit_csv(result, args.out)
     print(f"benchmark={config.benchmark} dim={config.dim} "
           f"algorithm={config.algorithm} alpha_star={config.alpha_star!r}")

@@ -319,18 +319,20 @@ def _aggregate(config: ExperimentConfig, reference_value: float,
     )
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1,
+def run_experiment(config: ExperimentConfig, workers: int | None = None,
                    reference_value: float | None = None) -> ExperimentResult:
     """All replications plus aggregation.
 
-    ``workers`` > 1 farms replications out to at most one process each,
-    and divides the CPUs among them: each process evaluates on at most
-    ``max(1, cpus // workers)`` threads.  Results are identical to the
-    serial run because every replication derives its own substreams.  The
-    reference optimum is computed, without a cache, unless passed in; the
-    ratio curves divide by it, so it must be finite and nonzero.
+    The replications run on ``workers`` processes, at most one each; None,
+    the default, is one per CPU the process may run on (its affinity mask),
+    as ``cvarsearch run`` does.  Each process evaluates on ``max(1, cpus //
+    processes)`` threads.  Results are identical to the serial run because
+    every replication derives its own substreams.  The reference optimum is
+    computed, without a cache, unless passed in; the ratio curves divide by
+    it, so it must be finite and nonzero.
     """
-    workers = _check_count(workers, "workers")
+    cpus = _cpu_count()
+    workers = cpus if workers is None else _check_count(workers, "workers")
     if reference_value is None:
         reference_value = emit_reference_run(config)
     reference_value = _check_number(reference_value, "reference_value")
@@ -345,7 +347,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
         # imported here, so that a serial run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
-                                 initargs=(max(1, _cpu_count() // workers),)) as pool:
+                                 initargs=(max(1, cpus // workers),)) as pool:
             futures = [pool.submit(run_replication, config, rep) for rep in reps]
             outcomes = [f.result() for f in futures]
     return _aggregate(config, reference_value, outcomes)

@@ -398,6 +398,11 @@ class TestQuadraticOracles:
         with pytest.raises(TypeError):
             l0_min_cvar_oracle(2.0, 0.95)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_min_dim_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be >= 1, got {dim}$"):
+            l0_min_cvar_oracle(dim, 0.95)
+
     def test_min_alpha_zero_is_origin(self):
         point, value = l0_min_cvar_oracle(4, 0.0)
         # mean objective: quadratic alone, minimised at zero

@@ -89,6 +89,11 @@ def test_oracle(capsys):
     assert f"value={want!r}" in out
 
 
+def test_oracle_dim_0_is_exit_2(capsys):
+    assert main(["oracle", "l0", "--alpha", "0.95", "--dim", "0"]) == 2
+    assert capsys.readouterr().err == "error: dim must be >= 1, got 0\n"
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"

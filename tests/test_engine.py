@@ -505,13 +505,18 @@ THREAD_CASES = EDGE_CASES + [
 
 def record_claims(monkeypatch):
     """Record each chunk stream the engine builds, with the thread that
-    built it, and the worker count of every thread pool it starts."""
-    built, pools = [], []
+    built it, the worker count of every thread pool it starts, and each
+    task submitted to one."""
+    built, pools, tasks = [], [], []
 
     class CountingPool(ThreadPoolExecutor):
         def __init__(self, workers):
             pools.append(workers)
             super().__init__(workers)
+
+        def submit(self, fn, *args):
+            tasks.append(fn)
+            return super().submit(fn, *args)
 
     def recording_substream(seq, *key):
         built.append((key[-1], threading.get_ident()))
@@ -520,19 +525,21 @@ def record_claims(monkeypatch):
     build = engine.substream
     monkeypatch.setattr(engine, "substream", recording_substream)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
-    return built, pools
+    return built, pools, tasks
 
 
 def assert_claimed_once(claims, n, m, threads):
     """Each chunk's stream was built exactly once, by at most
-    min(threads, chunks) threads, and a pool was started for the threads
-    beyond the calling one only when there are any."""
-    built, pools = claims
+    min(threads, chunks) threads, and a pool was started, and given one
+    claim task, for each thread beyond the calling one only when there are
+    any."""
+    built, pools, tasks = claims
     chunks = -(-n // engine._chunk_rows(m))
     threads = min(threads, chunks)
     assert sorted(c for c, _ in built) == list(range(chunks))
     assert len({thread for _, thread in built}) <= threads
     assert pools == ([threads - 1] if threads > 1 else [])
+    assert len(tasks) == threads - 1
 
 
 class TestThreadedEvaluation:
@@ -858,6 +865,26 @@ class TestThreadedDrawAhead:
             want = generator(substream(seq, engine._LOSS_REALM, 5, c)).standard_normal(count + 7)
             assert buffer[:count].tobytes() == want[:count].tobytes()
             assert rng.standard_normal(7).tobytes() == want[count:].tobytes()
+
+    def test_each_chunk_stream_is_built_once(self, monkeypatch):
+        # desk's shape: 200 candidates of 600 draws are 2 chunks an
+        # iteration, each drawn ahead from the second iteration on; a chunk
+        # that redraws from its stream instead shows as a second build
+        monkeypatch.setattr(engine, "_THREADS", 2)
+        built = []
+
+        def recording_substream(seq, *key):
+            built.append(key)
+            return build(seq, *key)
+
+        build = engine.substream
+        monkeypatch.setattr(engine, "substream", recording_substream)
+        config = small_config(dim=2, n_candidates=PowerGrowthSchedule(200, 0.0),
+                              max_iterations=6, grad_norm_stop=0.0)
+        result = run_gass_cvar(config, BenchmarkLoss("l0", 2), 0.9, 600, 13)
+        assert len(result.records) == 6
+        chunks = [key for key in built if len(key) == 3 and key[0] == engine._LOSS_REALM]
+        assert sorted(chunks) == [(engine._LOSS_REALM, k, c) for k in range(6) for c in range(2)]
 
     def test_a_run_starts_one_pool(self, monkeypatch):
         pools = pool_spy(monkeypatch)

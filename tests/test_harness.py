@@ -91,6 +91,26 @@ class TestConfigValidation:
             tiny_config(**{key: value})
         assert f"{key!r}" in str(err.value)
 
+    # (mean_init_lo, mean_init_hi) in the default mean box [-50, 50]: at
+    # each edge of the ordering the range is accepted, one float beyond it
+    # refused
+    @pytest.mark.parametrize("lo,hi,accepted", [
+        (-50.0, 2.0, True),
+        (math.nextafter(-50.0, -math.inf), 2.0, False),
+        (1.0, 1.0, True),
+        (math.nextafter(1.0, math.inf), 1.0, False),
+        (-2.0, 50.0, True),
+        (-2.0, math.nextafter(50.0, math.inf), False),
+    ], ids=["lo_at_box", "lo_below_box", "lo_at_hi", "lo_above_hi", "hi_at_box",
+            "hi_above_box"])
+    def test_initial_range_edges(self, lo, hi, accepted):
+        if accepted:
+            config = tiny_config(mean_init_lo=lo, mean_init_hi=hi)
+            assert (config.mean_init_lo, config.mean_init_hi) == (lo, hi)
+        else:
+            with pytest.raises(ConfigError, match="^config key 'mean_init_lo': initial-mean"):
+                tiny_config(mean_init_lo=lo, mean_init_hi=hi)
+
     @pytest.mark.parametrize(
         "key,value,message",
         [
@@ -378,6 +398,19 @@ class TestExperiment:
         assert [pool["max_workers"] for pool in inline_pools] == pools
         assert [o.rep for o in result.outcomes] == list(range(replications))
 
+    @pytest.mark.parametrize("cpus,replications,pools",
+                             [(2, 10, [(2, (1,))]), (4, 2, [(2, (2,))]), (1, 10, []),
+                              (8, 1, [])])
+    def test_default_processes_follow_the_cpus(self, cpus, replications, pools,
+                                               monkeypatch, inline_pools):
+        # no workers given: one process per CPU, at most one per
+        # replication, each evaluating on its share of the CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        result = run_experiment(tiny_config(replications=replications), reference_value=1.0)
+        assert [(pool["max_workers"], pool["initargs"]) for pool in inline_pools] == pools
+        assert [o.rep for o in result.outcomes] == list(range(replications))
+
     @pytest.mark.parametrize("cpus,workers,threads",
                              [(8, 2, 4), (8, 3, 2), (7, 2, 3), (2, 2, 1), (2, 3, 1), (1, 3, 1)])
     def test_pool_processes_share_the_cpus(self, cpus, workers, threads, monkeypatch,
@@ -617,6 +650,37 @@ class TestEmission:
             o.search_evals for o in result.outcomes
         )
         assert set(paths) == {"iterations", "curve", "alpha", "summary"}
+
+    def test_curve_rebuilt_from_the_runs(self, tmp_path):
+        # replications that stop at different iterations; each one's best
+        # so far is looked up at every grid point by a plain loop
+        config = tiny_config(algorithm="gass_cvar_arl", alpha_init=0.0, replications=4,
+                             max_iterations=8, grad_norm_stop=5.0)
+        result = run_experiment(config, workers=1, reference_value=2.0)
+        runs = [(o.result.records.cumulative_loss_evals,
+                 np.minimum.accumulate(o.result.record_values)) for o in result.outcomes]
+        assert len({len(evals) for evals, _ in runs}) > 1
+        start = max(evals[0] for evals, _ in runs)
+        grid = sorted({int(e) for evals, _ in runs for e in evals if e >= start})
+        table = []
+        for evals, bests in runs:
+            row = []
+            for point in grid:
+                i = 0
+                while i + 1 < len(evals) and evals[i + 1] <= point:
+                    i += 1
+                row.append(bests[i])
+            table.append(row)
+        table = np.array(table)
+        ratios = table / 2.0
+        want = np.column_stack([ratios.mean(axis=0), np.quantile(ratios, 0.1, axis=0),
+                                np.quantile(ratios, 0.9, axis=0), table.mean(axis=0)])
+        emit_csv(result, tmp_path)
+        rows = [line.split(",")
+                for line in (tmp_path / "curve.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == grid
+        got = np.array([[float(v) for v in row[1:]] for row in rows])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         emit_csv(run_experiment(tiny_config(), workers=1, reference_value=1.0), tmp_path)
