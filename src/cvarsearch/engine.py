@@ -92,10 +92,10 @@ loss's m draws per candidate are copied in) and reduced to CVaR estimates
 by one call, so a search or re-evaluation holds one chunk of loss draws
 per thread, at most 512 KiB or one candidate's draws when they are more,
 not the O(N_k * M_k) loss matrix.  A search on several threads adds the
-draw-ahead's two sets of one 512 KiB buffer per thread, whatever
-N_k * M_k is.  The reduction partitions the chunk in place and copies only
-each row's tail from its VaR up, so its transients shrink with 1 - alpha:
-about a tenth of the chunk at 0.95.
+draw-ahead's 512 KiB arrays, one per thread for the iteration evaluated
+and one for the next, whatever N_k * M_k is.  The reduction partitions
+the chunk in place and copies only each row's tail from its VaR up, so
+its transients shrink with 1 - alpha: about a tenth of the chunk at 0.95.
 
 Threads: the thread count is derived, never set: the CPUs the process
 may run on, lowered in each worker of a process pool so that workers x
@@ -113,10 +113,10 @@ work:
   search queues the next iteration's draw-ahead (below) before its
   claims, so a pool thread joins an evaluation only when the draw-ahead
   leaves it idle;
-- for a ``BenchmarkLoss``, while iteration k is formed, pool tasks draw
-  the standard normals of iteration k + 1's first chunks (``_draw_ahead``)
-  into one of the search loop's two buffer sets, and the loop takes their
-  results before it evaluates k + 1.  Chunk c's stream is keyed by
+- for a ``BenchmarkLoss`` with M_k <= 2^16, while iteration k is formed,
+  pool tasks draw the standard normals of iteration k + 1's first chunks
+  (``_draw_ahead``), each into an array of its own, and the loop takes
+  their results before it evaluates k + 1.  Chunk c's stream is keyed by
   (k + 1, c) alone, whatever M_{k+1} turns out to be, and the draw
   releases the interpreter lock, so it overlaps the calling thread's
   forming, reduction and step.
@@ -373,25 +373,25 @@ def _chunk_rows(m: int) -> int:
     return max(1, _CHUNK_DRAWS // m)
 
 
-def _draw_ahead(pool: ThreadPoolExecutor, buffers: np.ndarray,
-                seq: np.random.SeedSequence, k: int, n: int, m: int) -> list:
-    """Start iteration k's draws from iteration k - 1's sizes n and m: for
-    each chunk c < min(chunks, len(buffers)), a pool task draws the standard
-    normals of the min(C, n - c * C) rows it held, at most a buffer, of
-    chunk stream (_LOSS_REALM, k, c) into ``buffers[c]``, where C is
-    ``_chunk_rows(m)``.  Returns one future per chunk, whose result is
-    (generator, buffer, count drawn); as each chunk is its own task, on
-    many CPUs they run side by side."""
+def _draw_ahead(pool: ThreadPoolExecutor, threads: int, seq: np.random.SeedSequence,
+                k: int, n: int, m: int) -> list:
+    """Start iteration k's draws from iteration k - 1's sizes n and m <=
+    ``_CHUNK_DRAWS``: for each chunk c < min(chunks, threads), a pool task
+    draws the standard normals of the min(C, n - c * C) rows it held, where
+    C is ``_chunk_rows(m)``, of chunk stream (_LOSS_REALM, k, c) into a
+    ``_CHUNK_DRAWS`` array of its own.  Returns one future per chunk, whose
+    result is (generator, array, count drawn); as each chunk is its own
+    task, on many CPUs they run side by side."""
     rows = _chunk_rows(m)
 
-    def draw(c, buffer):
-        count = min(min(rows, n - c * rows) * m, _CHUNK_DRAWS)
+    def draw(c):
+        normals = np.empty(_CHUNK_DRAWS)
+        count = min(rows, n - c * rows) * m
         rng = generator(substream(seq, _LOSS_REALM, k, c))
-        rng.standard_normal(out=buffer[:count])
-        return rng, buffer, count
+        rng.standard_normal(out=normals[:count])
+        return rng, normals, count
 
-    # slicing caps the chunks at one buffer per thread
-    return [pool.submit(draw, c, buffer) for c, buffer in enumerate(buffers[:-(-n // rows)])]
+    return [pool.submit(draw, c) for c in range(min(-(-n // rows), threads))]
 
 
 def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
@@ -412,13 +412,14 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     order and the same formula, so the same bits.
 
     ``drawn`` holds, for a ``BenchmarkLoss``'s first chunks, the
-    (generator, buffer, count) that ``_draw_ahead`` drew into one of the
-    search loop's buffer sets: chunk c's stream with its first count
-    normals already in the buffer.  The chunk is formed in that buffer,
-    from a prefix of it when it needs fewer, after the same generator draws
-    the rest when it needs more; a candidate larger than the buffer gets
-    the drawn normals copied into its thread's own buffer first.  Successive draws from one generator equal one
-    draw, so every value keeps its bits.
+    (generator, array, count) that ``_draw_ahead`` returned: chunk c's
+    stream with its first count normals already in a ``_CHUNK_DRAWS``
+    array.  A chunk that fits in the array is formed in it, from a prefix
+    of it when it needs fewer, after the same generator draws the rest when
+    it needs more; successive draws from one generator equal one draw, so
+    every value keeps its bits.  A chunk that does not fit, one candidate
+    of more than ``_CHUNK_DRAWS`` draws, builds its stream again in its
+    thread's own buffer.
 
     Up to min(chunks, CPUs) threads, the calling one included, each take
     the next unclaimed chunk from one shared range iterator, whose ``next``
@@ -445,18 +446,13 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
             for c in todo:
                 lo, hi = c * chunk, min(c * chunk + chunk, n)
                 size = (hi - lo) * m
-                if c < len(drawn):
-                    rng, prefilled, count = drawn[c]
-                else:
-                    rng, prefilled, count = generator(substream(seq, *key, c)), None, 0
-                if prefilled is not None and size <= prefilled.size:
-                    flat = prefilled[:size]
+                if c < len(drawn) and size <= _CHUNK_DRAWS:
+                    rng, normals, count = drawn[c]
+                    flat = normals[:size]
                 else:
                     if buffer is None:
                         buffer = np.empty(min(chunk, n) * m)
-                    flat = buffer[:size]
-                    if count:
-                        flat[:count] = prefilled[:count]
+                    rng, flat, count = generator(substream(seq, *key, c)), buffer[:size], 0
                 block = flat.reshape(hi - lo, m)
                 if fused:
                     if count < size:
@@ -533,12 +529,12 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
 
     On several CPUs the run owns one thread pool, for the chunk claims of
     its evaluations and, with a ``BenchmarkLoss``, the draw-ahead of each
-    next iteration's normals.  For that the loop allocates two sets of one
-    ``_CHUNK_DRAWS`` buffer per thread and holds the pending draws: it
-    takes iteration k's before it evaluates k, and before the evaluation's
-    claims it starts k + 1's into set (k + 1) % 2, unless k is the last
-    iteration.  However the run ends, a draw not yet started is cancelled
-    and the pool's threads are joined before it returns.
+    next iteration's normals.  For that the loop holds the pending draws:
+    it takes iteration k's before it evaluates k, and before the
+    evaluation's claims it starts k + 1's, each into an array of its own,
+    unless k is the last iteration or M_k > ``_CHUNK_DRAWS`` (no row would
+    fit).  However the run ends, a draw not yet started is cancelled and
+    the pool's threads are joined before it returns.
     """
     params = config.init_params
     rows = []
@@ -546,8 +542,7 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
     terminated = MAX_ITERATIONS
     threads = _THREADS or _cpu_count()
     pool = ThreadPoolExecutor(threads - 1) if threads > 1 else None
-    buffers = (np.empty((2, threads, _CHUNK_DRAWS))
-               if pool is not None and isinstance(loss, BenchmarkLoss) else None)
+    draws_ahead = pool is not None and isinstance(loss, BenchmarkLoss)
     pending = []
     try:
         for k in range(config.max_iterations):
@@ -556,8 +551,9 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
             n_k = config.n_candidates(k)
             xs = sample(params, n_k, generator(substream(seed_seq, _CANDIDATE_REALM, k)))
             drawn = [future.result() for future in pending]
-            if buffers is not None and k + 1 < config.max_iterations:
-                pending = _draw_ahead(pool, buffers[(k + 1) % 2], seed_seq, k + 1, n_k, m_k)
+            pending = (_draw_ahead(pool, threads, seed_seq, k + 1, n_k, m_k)
+                       if draws_ahead and m_k <= _CHUNK_DRAWS and k + 1 < config.max_iterations
+                       else [])
             cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k,
                                      pool=pool, drawn=drawn)
             cum_evals += n_k * m_k

@@ -776,7 +776,8 @@ DRAW_AHEAD_CASES = {
     # 40 k candidates of 1,000 draws, 65 a chunk: one chunk, then two, then
     # more chunks than were drawn ahead, each last one a prefix
     "growing_count": (0.9, 0.9, 100, PowerGrowthSchedule(40, 1.0), 0.0, 6),
-    # 70,000 draws a candidate, a row larger than a draw-ahead buffer
+    # 70,000 draws a candidate, a row larger than a drawn array, so
+    # nothing is drawn ahead
     "rows_beyond_a_buffer": (0.9, 0.9, 7000, PowerGrowthSchedule(3, 0.0), 0.0, 3),
     # the first gradient norm stops the run with a draw-ahead pending
     "stopped_by_grad_norm": (0.0, 0.95, 100, PowerGrowthSchedule(300, 0.0), 1e300, 10),
@@ -836,8 +837,8 @@ class TestThreadedDrawAhead:
 
     def test_same_bytes_under_fast_switches(self, monkeypatch):
         # more threads than CPUs, switching as often as the interpreter
-        # allows: a chunk formed before its draw-ahead finished, or in a
-        # buffer the next draw already refills, shows in the records
+        # allows: a chunk formed before its draw-ahead finished, or in an
+        # array a later draw refills, shows in the records
         loss = BenchmarkLoss("rastrigin", 4)
         want = run_case(loss, "growing_count", 1, monkeypatch)
         interval = sys.getswitchinterval()
@@ -850,26 +851,36 @@ class TestThreadedDrawAhead:
         assert got.record_values.tobytes() == want.record_values.tobytes()
 
     def test_drawn_chunks_are_the_streams_next_normals(self):
-        # a chunk drawn ahead continues, or is a prefix of, its own stream
+        # a chunk drawn ahead continues, or is a prefix of, its own stream,
+        # in an array of its own that holds any chunk; one chunk per thread
         seq = as_seed_sequence(3)
-        buffers = np.empty((2, engine._CHUNK_DRAWS))
         pool = ThreadPoolExecutor(1)
         try:
             drawn = [future.result()
-                     for future in engine._draw_ahead(pool, buffers, seq, 5, 200, 600)]
+                     for future in engine._draw_ahead(pool, 2, seq, 5, 200, 600)]
+            one = [future.result()[2]
+                   for future in engine._draw_ahead(pool, 1, seq, 5, 200, 600)]
         finally:
             pool.shutdown()
         # each chunk as many rows as it holds: 109 and the other 91
         assert [count for _, _, count in drawn] == [65_400, 54_600]
-        for c, (rng, buffer, count) in enumerate(drawn):
+        assert one == [65_400]
+        assert drawn[0][1] is not drawn[1][1]
+        for c, (rng, normals, count) in enumerate(drawn):
+            assert normals.shape == (engine._CHUNK_DRAWS,)
             want = generator(substream(seq, engine._LOSS_REALM, 5, c)).standard_normal(count + 7)
-            assert buffer[:count].tobytes() == want[:count].tobytes()
+            assert normals[:count].tobytes() == want[:count].tobytes()
             assert rng.standard_normal(7).tobytes() == want[count:].tobytes()
 
     def test_each_chunk_stream_is_built_once(self, monkeypatch):
         # desk's shape: 200 candidates of 600 draws are 2 chunks an
         # iteration, each drawn ahead from the second iteration on; a chunk
-        # that redraws from its stream instead shows as a second build
+        # that redraws from its stream instead shows as a second build.
+        # 3 candidates of 70,000 draws are 3 chunks of one row each, too
+        # large for a drawn array, so none is drawn ahead.  No perfbench
+        # workload or shipped config searches at m > 2^16 (paper_full's
+        # largest m is 5,000, reference_large's 50,000); a reference search
+        # at the default reference_inner_budget of 100,000 does
         monkeypatch.setattr(engine, "_THREADS", 2)
         built = []
 
@@ -879,12 +890,54 @@ class TestThreadedDrawAhead:
 
         build = engine.substream
         monkeypatch.setattr(engine, "substream", recording_substream)
+        for n, m, chunks, iterations in [(200, 600, 2, 6), (3, 70_000, 3, 3)]:
+            built.clear()
+            config = small_config(dim=2, n_candidates=PowerGrowthSchedule(n, 0.0),
+                                  max_iterations=iterations, grad_norm_stop=0.0)
+            result = run_gass_cvar(config, BenchmarkLoss("l0", 2), 0.9, m, 13)
+            assert len(result.records) == iterations
+            got = [key for key in built if len(key) == 3 and key[0] == engine._LOSS_REALM]
+            assert sorted(got) == [(engine._LOSS_REALM, k, c)
+                                   for k in range(iterations) for c in range(chunks)]
+
+    def test_a_failed_draw_ahead_reaches_the_caller(self, monkeypatch):
+        # desk's shape: iteration 2's first chunk is drawn ahead on a pool
+        # thread during iteration 1, and its stream fails once; a loop that
+        # dropped the failed draw would build the stream again and pass
+        monkeypatch.setattr(engine, "_THREADS", 2)
+        failed = []
+
+        def failing_substream(seq, *key):
+            if key == (engine._LOSS_REALM, 2, 0) and not failed:
+                failed.append(threading.get_ident())
+                raise RuntimeError("draw-ahead of iteration 2")
+            return build(seq, *key)
+
+        build = engine.substream
+        monkeypatch.setattr(engine, "substream", failing_substream)
         config = small_config(dim=2, n_candidates=PowerGrowthSchedule(200, 0.0),
-                              max_iterations=6, grad_norm_stop=0.0)
-        result = run_gass_cvar(config, BenchmarkLoss("l0", 2), 0.9, 600, 13)
-        assert len(result.records) == 6
-        chunks = [key for key in built if len(key) == 3 and key[0] == engine._LOSS_REALM]
-        assert sorted(chunks) == [(engine._LOSS_REALM, k, c) for k in range(6) for c in range(2)]
+                              max_iterations=6)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw-ahead of iteration 2"):
+            run_gass_cvar(config, BenchmarkLoss("l0", 2), 0.9, 600, 13)
+        assert len(failed) == 1 and failed[0] != threading.get_ident()
+        assert threading.active_count() == before
+
+    def test_drawn_arrays_do_not_outlive_their_iteration(self, monkeypatch):
+        # desk's shape for 20 iterations: two threads hold at most two
+        # iterations' drawn arrays of 512 KiB and one own buffer each,
+        # about 3 MiB; a loop that kept every iteration's would hold 20 MiB
+        monkeypatch.setattr(engine, "_THREADS", 2)
+        config = small_config(dim=2, n_candidates=PowerGrowthSchedule(200, 0.0),
+                              max_iterations=20)
+        tracemalloc.start()
+        try:
+            result = run_gass_cvar(config, BenchmarkLoss("l0", 2), 0.9, 600, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 20
+        assert peak <= 4_000_000
 
     def test_a_run_starts_one_pool(self, monkeypatch):
         pools = pool_spy(monkeypatch)
