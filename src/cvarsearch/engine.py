@@ -69,61 +69,16 @@ search budget.
 A run's trace, ``RunResult.records``, is one NumPy record array with a
 row per iteration, built once when the loop ends.
 
-Randomness: every consumer draws from a substream keyed by its role and
-position (iteration, chunk of candidates), so results do not depend on
-evaluation order or worker count.  The candidates of one evaluation share
-streams in chunks of ``_chunk_rows(m)``, which depends on the draws per
-candidate m alone: chunk c is NumPy's own
-``generator(substream(seq, *key, c))``, and its candidates draw from it
-one after another, in index order.  For a ``BenchmarkLoss`` one
-``standard_normal`` call fills the chunk instead, row after row, and each
-row becomes its candidate's losses in place: the standard normals that
-its ``simulate(x, m, rng)`` per candidate would draw, scaled and shifted
-by the one formula ``simulate`` applies to every draw, so every value
-keeps its bits.  A chunk holds at most 2^16 draws, or one candidate when
-a candidate takes more.
-Every stream is a SeedSequence-seeded NumPy SFC64 generator: it draws
-normals faster than PCG64, and each has its own mixed state with a cycle
-of at least 2^64.
-
-Memory: a chunk, the one unit of evaluation work, is simulated into its
-thread's buffer (a ``BenchmarkLoss`` forms its losses there; another
-loss's m draws per candidate are copied in) and reduced to CVaR estimates
-by one call, so a search or re-evaluation holds one chunk of loss draws
-per thread, at most 512 KiB or one candidate's draws when they are more,
-not the O(N_k * M_k) loss matrix.  A search on several threads adds the
-draw-ahead's 512 KiB arrays, one per thread for the iteration evaluated
-and one for the next, whatever N_k * M_k is.  The reduction partitions
-the chunk in place and copies only each row's tail from its VaR up, so
-its transients shrink with 1 - alpha: about a tenth of the chunk at 0.95.
-
-Threads: the thread count is derived, never set: the CPUs the process
-may run on, lowered in each worker of a process pool so that workers x
-threads stays within the CPUs.  On one CPU nothing starts a thread.  A
-search run owns one pool of the threads beyond the calling one, shut
-down before the run returns, however it ends; ``evaluate_candidates``
-starts one per call where it needs one.  The pool serves two kinds of
-work:
-
-- at every m, the threads of an evaluation, at most one per chunk, claim
-  its chunks one at a time from one shared iterator until none is left,
-  so a thread that starts late claims fewer, and a pool task not yet
-  started when the calling thread finds none left is cancelled, not
-  waited for.  The pool runs tasks in the order they were queued, and a
-  search queues the next iteration's draw-ahead (below) before its
-  claims, so a pool thread joins an evaluation only when the draw-ahead
-  leaves it idle;
-- for a ``BenchmarkLoss`` with M_k <= 2^16, while iteration k is formed,
-  pool tasks draw the standard normals of iteration k + 1's first chunks
-  (``_draw_ahead``), each into an array of its own, and the loop takes
-  their results before it evaluates k + 1.  Chunk c's stream is keyed by
-  (k + 1, c) alone, whatever M_{k+1} turns out to be, and the draw
-  releases the interpreter lock, so it overlaps the calling thread's
-  forming, reduction and step.
-
-A chunk is never split between threads, and a drawn-ahead chunk is
-continued from the generator that drew it, so no value depends on the
-thread count or on which thread drew or took a chunk.
+Randomness and threads: every consumer draws from a substream keyed by
+its role and position (iteration, chunk of candidates), so no number
+depends on the evaluation order, the worker count or the thread count.
+The thread count is derived, never set: the CPUs the process may run on,
+lowered in each worker of a process pool so that workers x threads stays
+within the CPUs.  On one CPU nothing starts a thread.  A search run owns
+one pool of the threads beyond the calling one, shut down before the run
+returns, however it ends; ``evaluate_candidates`` starts one per call
+where it needs one.  What the threads do and hold is stated once, in
+``_candidate_cvars``, ``_draw_ahead`` and ``_run_search``.
 """
 
 from __future__ import annotations
@@ -375,13 +330,18 @@ def _chunk_rows(m: int) -> int:
 
 def _draw_ahead(pool: ThreadPoolExecutor, threads: int, seq: np.random.SeedSequence,
                 k: int, n: int, m: int) -> list:
-    """Start iteration k's draws from iteration k - 1's sizes n and m <=
-    ``_CHUNK_DRAWS``: for each chunk c < min(chunks, threads), a pool task
-    draws the standard normals of the min(C, n - c * C) rows it held, where
-    C is ``_chunk_rows(m)``, of chunk stream (_LOSS_REALM, k, c) into a
-    ``_CHUNK_DRAWS`` array of its own.  Returns one future per chunk, whose
-    result is (generator, array, count drawn); as each chunk is its own
-    task, on many CPUs they run side by side."""
+    """Start iteration k's draws from iteration k - 1's sizes n and m: for
+    each chunk c < min(chunks, threads), a pool task draws the standard
+    normals of the min(C, n - c * C) rows it held, where C is
+    ``_chunk_rows(m)``, of chunk stream (_LOSS_REALM, k, c) into a
+    ``_CHUNK_DRAWS`` array of its own.  Returns one future per chunk,
+    whose result is (generator, array, count drawn), or none when one row
+    of m draws would not fit an array.  The fill releases the interpreter
+    lock, so a draw runs beside the calling thread's forming and step,
+    and, as each chunk is its own task, on many CPUs beside the others;
+    each array goes with the iteration that takes it."""
+    if m > _CHUNK_DRAWS:
+        return []
     rows = _chunk_rows(m)
 
     def draw(c):
@@ -405,32 +365,35 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
     ``generator(substream(seq, *key, c))``, its rows from successive
     ``loss.simulate`` calls on that one generator, into its thread's one
     reused buffer, and is reduced by one ``empirical_cvar`` call, so each
-    estimate depends on its chunk index and row alone.  A ``BenchmarkLoss``
+    estimate depends on its chunk index and row alone, and a thread holds
+    one chunk of loss draws, at most 512 KiB or one candidate's draws when
+    they are more, not the O(N_k * M_k) loss matrix.  A ``BenchmarkLoss``
     chunk instead fills the buffer with one ``standard_normal`` call and
     passes each row to ``simulate(x, m, rng, normals=row)``, which forms the
     losses in it as it forms its own draws: the same normals in the same
     order and the same formula, so the same bits.
 
-    ``drawn`` holds, for a ``BenchmarkLoss``'s first chunks, the
-    (generator, array, count) that ``_draw_ahead`` returned: chunk c's
-    stream with its first count normals already in a ``_CHUNK_DRAWS``
-    array.  A chunk that fits in the array is formed in it, from a prefix
-    of it when it needs fewer, after the same generator draws the rest when
-    it needs more; successive draws from one generator equal one draw, so
-    every value keeps its bits.  A chunk that does not fit, one candidate
-    of more than ``_CHUNK_DRAWS`` draws, builds its stream again in its
-    thread's own buffer.
+    ``drawn`` holds, for a ``BenchmarkLoss``'s first chunks, the futures
+    that ``_draw_ahead`` returned: chunk c's stream with its first count
+    normals in a ``_CHUNK_DRAWS`` array.  Chunk c waits for its own future
+    when it is claimed, and for no other.  A chunk that fits in the array
+    is formed in it, from a prefix of it when it needs fewer, after the
+    same generator draws the rest when it needs more; successive draws from
+    one generator equal one draw, so every value keeps its bits.  A chunk
+    that does not fit, one candidate of more than ``_CHUNK_DRAWS`` draws,
+    leaves its future unresolved and builds its stream again in its
+    thread's own buffer, so an error that draw raised is raised again.
 
     Up to min(chunks, CPUs) threads, the calling one included, each take
     the next unclaimed chunk from one shared range iterator, whose ``next``
     holds the interpreter lock, until none is left.  The other threads are
     tasks on ``pool``, the search run's, or else on a pool started for this
-    call.  Once the calling thread finds no chunk left, it cancels each
-    task the pool has not started, which would find none either, and waits
-    for the ones running.  A thread that fails takes every chunk still
-    unclaimed, so the others stop after their current chunk.  The calling
-    thread's error, else the first failed pool task's, reaches the caller
-    once every thread has stopped.
+    call when it has more than one thread.  Once the calling thread finds
+    no chunk left, it cancels each task the pool has not started, which
+    would find none either, and waits for the ones running.  A thread that
+    fails takes every chunk still unclaimed, so the others stop after their
+    current chunk.  The calling thread's error, else the first failed pool
+    task's, reaches the caller once every thread has stopped.
     """
     n = len(xs)
     chunk = _chunk_rows(m)
@@ -447,7 +410,7 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
                 lo, hi = c * chunk, min(c * chunk + chunk, n)
                 size = (hi - lo) * m
                 if c < len(drawn) and size <= _CHUNK_DRAWS:
-                    rng, normals, count = drawn[c]
+                    rng, normals, count = drawn[c].result()
                     flat = normals[:size]
                 else:
                     if buffer is None:
@@ -473,12 +436,10 @@ def _candidate_cvars(loss: LossModel, xs: Sequence, alpha: float, m: int,
             for _ in todo:
                 pass
 
-    if threads == 1:
-        fill()
-        return out
     # a call outside a search run starts its own pool, so that no thread
     # outlives it (a process pool forks)
-    with nullcontext(pool) if pool is not None else ThreadPoolExecutor(threads - 1) as workers:
+    own = pool is None and threads > 1
+    with ThreadPoolExecutor(threads - 1) if own else nullcontext(pool) as workers:
         claims = [workers.submit(fill) for _ in range(threads - 1)]
         try:
             fill()
@@ -529,12 +490,16 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
 
     On several CPUs the run owns one thread pool, for the chunk claims of
     its evaluations and, with a ``BenchmarkLoss``, the draw-ahead of each
-    next iteration's normals.  For that the loop holds the pending draws:
-    it takes iteration k's before it evaluates k, and before the
-    evaluation's claims it starts k + 1's, each into an array of its own,
-    unless k is the last iteration or M_k > ``_CHUNK_DRAWS`` (no row would
-    fit).  However the run ends, a draw not yet started is cancelled and
-    the pool's threads are joined before it returns.
+    next iteration's normals.  Each iteration k hands its evaluation the
+    draws started during k - 1 as pending futures, so a chunk waits only
+    for its own draw, and before the evaluation's claims it starts k + 1's
+    (``_draw_ahead``), unless k is the last iteration.  The pool runs its
+    tasks in the order they were queued, so a pool thread joins an
+    evaluation only when the draw-ahead leaves it idle, and a claim task
+    that waits for a drawn chunk waits for a task queued before it.  The
+    draw-ahead holds at most two arrays per thread, k's and k + 1's,
+    whatever N_k * M_k is.  However the run ends, a draw not yet started
+    is cancelled and the pool's threads are joined before it returns.
     """
     params = config.init_params
     rows = []
@@ -550,10 +515,8 @@ def _run_search(config: GassConfig, loss: LossModel, seed_seq,
             m_k = inner_budget(alpha_k)
             n_k = config.n_candidates(k)
             xs = sample(params, n_k, generator(substream(seed_seq, _CANDIDATE_REALM, k)))
-            drawn = [future.result() for future in pending]
-            pending = (_draw_ahead(pool, threads, seed_seq, k + 1, n_k, m_k)
-                       if draws_ahead and m_k <= _CHUNK_DRAWS and k + 1 < config.max_iterations
-                       else [])
+            drawn, pending = pending, (_draw_ahead(pool, threads, seed_seq, k + 1, n_k, m_k)
+                                       if draws_ahead and k + 1 < config.max_iterations else [])
             cvars = _candidate_cvars(loss, xs, alpha_k, m_k, seed_seq, _LOSS_REALM, k,
                                      pool=pool, drawn=drawn)
             cum_evals += n_k * m_k

@@ -282,10 +282,9 @@ class ExperimentResult:
 
 
 def _step_values(evals: np.ndarray, bests: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    # right-continuous step lookup; grid points before the first eval are
-    # excluded by grid construction
-    idx = np.searchsorted(evals, grid, side="right") - 1
-    return bests[np.clip(idx, 0, bests.size - 1)]
+    # right-continuous step lookup; every grid point is at or above each
+    # replication's first eval, so the index lies in [0, size - 1]
+    return bests[np.searchsorted(evals, grid, side="right") - 1]
 
 
 def _aggregate(config: ExperimentConfig, reference_value: float,

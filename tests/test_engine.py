@@ -664,6 +664,21 @@ class TestThreadedEvaluation:
             evaluate_candidates(loss, xs, 0.9, m, 0)
         assert loss.calls - loss.calls_at_short <= 2 * engine._chunk_rows(m)
 
+    # _THREADS = 1, or no cap on a process that may run on one CPU
+    @pytest.mark.parametrize("threads", [1, None])
+    def test_one_cpu_starts_no_pool(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        pools = pool_spy(monkeypatch)
+        before = threading.active_count()
+        # a search of three chunks of 70,000 draws, each a candidate
+        run_case(BenchmarkLoss("l0", 4), "rows_beyond_a_buffer", threads, monkeypatch)
+        # a re-evaluation of five chunks at desk's 600 draws
+        xs = np.zeros((5 * engine._chunk_rows(600), 4))
+        evaluate_candidates(BenchmarkLoss("l0", 4), xs, 0.9, 600, 1)
+        assert pools == []
+        assert threading.active_count() == before
+
 
 class NormalLoss:
     """Standard normal draws, kept by the candidate index in x[0]."""
@@ -860,11 +875,14 @@ class TestThreadedDrawAhead:
                      for future in engine._draw_ahead(pool, 2, seq, 5, 200, 600)]
             one = [future.result()[2]
                    for future in engine._draw_ahead(pool, 1, seq, 5, 200, 600)]
+            # one row of 70,000 draws fits no array, so nothing is drawn
+            beyond = engine._draw_ahead(pool, 2, seq, 5, 3, 70_000)
         finally:
             pool.shutdown()
         # each chunk as many rows as it holds: 109 and the other 91
         assert [count for _, _, count in drawn] == [65_400, 54_600]
         assert one == [65_400]
+        assert beyond == []
         assert drawn[0][1] is not drawn[1][1]
         for c, (rng, normals, count) in enumerate(drawn):
             assert normals.shape == (engine._CHUNK_DRAWS,)
@@ -923,6 +941,40 @@ class TestThreadedDrawAhead:
         assert len(failed) == 1 and failed[0] != threading.get_ident()
         assert threading.active_count() == before
 
+    def test_a_chunk_waits_only_for_its_own_draw(self, monkeypatch):
+        # desk's shape: iteration 3's chunk-1 draw is held until a chunk of
+        # iteration 3 is reduced, which chunk 0 can be only if it is formed
+        # without waiting for chunk 1's draw; a loop that waits for every
+        # draw before it evaluates holds it until the timeout
+        monkeypatch.setattr(engine, "_THREADS", 2)
+        reduced = threading.Event()
+        released = []
+        keys = []
+
+        def held_substream(seq, *key):
+            if key == (engine._LOSS_REALM, 3, 1):
+                released.append(reduced.wait(timeout=5))
+            return build(seq, *key)
+
+        def recording_cvars(loss, xs, alpha, m, seq, *key, **kwargs):
+            keys.append(key)
+            return evaluate(loss, xs, alpha, m, seq, *key, **kwargs)
+
+        def signalling_cvar(losses, level, **kwargs):
+            if keys[-1] == (engine._LOSS_REALM, 3):
+                reduced.set()
+            return empirical_cvar(losses, level, **kwargs)
+
+        build, evaluate = engine.substream, engine._candidate_cvars
+        monkeypatch.setattr(engine, "substream", held_substream)
+        monkeypatch.setattr(engine, "_candidate_cvars", recording_cvars)
+        monkeypatch.setattr(engine, "empirical_cvar", signalling_cvar)
+        config = small_config(dim=2, n_candidates=PowerGrowthSchedule(200, 0.0),
+                              max_iterations=6)
+        result = run_gass_cvar(config, BenchmarkLoss("l0", 2), 0.9, 600, 13)
+        assert len(result.records) == 6
+        assert released == [True]
+
     def test_drawn_arrays_do_not_outlive_their_iteration(self, monkeypatch):
         # desk's shape for 20 iterations: two threads hold at most two
         # iterations' drawn arrays of 512 KiB and one own buffer each,
@@ -967,21 +1019,6 @@ class TestThreadedDrawAhead:
         with pytest.raises(RuntimeError, match="iteration 3"):
             run_case(BenchmarkLoss("l0", 4), "ramp_from_zero", 2, monkeypatch)
         assert len(calls) == 4
-        assert threading.active_count() == before
-
-    # _THREADS = 1, or no cap on a process that may run on one CPU
-    @pytest.mark.parametrize("threads", [1, None])
-    def test_one_cpu_starts_no_pool(self, threads, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        pools = pool_spy(monkeypatch)
-        before = threading.active_count()
-        # a search of three chunks of 70,000 draws, each a candidate
-        run_case(BenchmarkLoss("l0", 4), "rows_beyond_a_buffer", threads, monkeypatch)
-        # a re-evaluation of five chunks at desk's 600 draws
-        xs = np.zeros((5 * engine._chunk_rows(600), 4))
-        evaluate_candidates(BenchmarkLoss("l0", 4), xs, 0.9, 600, 1)
-        assert pools == []
         assert threading.active_count() == before
 
 
